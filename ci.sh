@@ -46,6 +46,25 @@ fi
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perfbench smoke (every declared benchmark metric still emitted)"
+# perfbench is its own workspace, so `cargo test --workspace` skips it.
+# Its smoke test runs each workload at tiny size and fails if a metric
+# BENCHMARK.json declares went missing — e.g. a renamed dispatch kind.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> repro --quick CSV manifest (refactor byte-identity net)"
+# Every CSV of `repro --quick all` except perf.csv (wall-clock ns) must
+# hash to its pinned value in results/repro_quick.sha256. The CSVs are
+# byte-identical across runs and thread counts, so any diff here is a
+# behaviour change: explain it and re-pin, or fix the code.
+REPRO_TMP="${TMPDIR:-/tmp}/ms_repro_quick"
+rm -rf "$REPRO_TMP"
+cargo run -q --release -p ms-bench --bin repro -- \
+    --quick --threads 2 --out "$REPRO_TMP" all > /dev/null
+(cd "$REPRO_TMP" && LC_ALL=C ls -- *.csv | grep -v '^perf\.csv$' | xargs sha256sum) \
+    | diff results/repro_quick.sha256 -
+rm -rf "$REPRO_TMP"
+
 echo "==> traced example smoke (Perfetto export)"
 TRACE_TMP="${TMPDIR:-/tmp}/ms_trace_smoke.json"
 cargo run -q --release -p ms-bench --example incast_loss -- --trace "$TRACE_TMP"

@@ -1,4 +1,4 @@
-//! Golden byte-identity tests for the buffer-policy refactor.
+//! Golden byte-identity tests for the simulator's refactors.
 //!
 //! The `BufferPolicy` redesign moved the Dynamic-Threshold admission
 //! test out of `try_enqueue` and its `α·(B−Q)` threshold from an f64
@@ -14,12 +14,20 @@
 //! trivially exact) and the α-tuner path (α = 4/(1+s), non-dyadic
 //! values like 4/3 — where the threshold must emulate the f64
 //! product's round-to-nearest-even exactly).
+//!
+//! The `PLANE_GOLDEN` fingerprints pin the forwarding paths those four
+//! cases never reach — the trunk hop and its off-switch forensics,
+//! multicast replication, chatter, the queue-depth probe, GRO and NIC
+//! drop injection, and a cross-pod fat-tree incast. They were captured
+//! before the single-rack ToR and the fat-tree switches were folded
+//! into one forwarding plane, so that fold is held to the same bar.
 
 use ms_analysis::analyze_run;
-use ms_dcsim::{Bps, Ns};
+use ms_dcsim::{Bps, Bytes, Ns};
 use ms_telemetry::TelemetryConfig;
 use ms_transport::CcAlgorithm;
-use ms_workload::{FlowSpec, ScenarioBuilder};
+use ms_workload::sim::{FabricHopConfig, GroConfig};
+use ms_workload::{FatTreeOpts, FlowSpec, ScenarioBuilder, TopoFlowSpec, TopologySpec};
 
 /// FNV-1a, folded incrementally.
 fn fnv(h: &mut u64, bytes: &[u8]) {
@@ -31,7 +39,7 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 
 /// One contended incast (300 conns into one 12.5G downlink) that forces
 /// drops, marks, and forensic classification under the given α.
-fn run_fingerprint(seed: u64, alpha: f64, tune: bool) -> u64 {
+fn dt_alpha_incast(seed: u64, alpha: f64, tune: bool) -> ScenarioBuilder {
     let mut b = ScenarioBuilder::new(2, seed);
     b.buckets(150)
         .warmup(Ns::from_millis(10))
@@ -52,7 +60,17 @@ fn run_fingerprint(seed: u64, alpha: f64, tune: bool) -> u64 {
     if tune {
         b.alpha_tune_period(Ns::from_millis(5));
     }
-    let mut sim = b.build();
+    b
+}
+
+/// Runs one sync window of `scenario` (telemetry must be attached) and
+/// folds everything observable into one FNV-1a fingerprint: the
+/// Perfetto trace, every forensic record, the ground-truth counters and
+/// the analysis outcome bytes. With `plane_state`, the queue-depth probe
+/// samples and the per-tier discard split are folded in as well (the
+/// four DT-α cases were captured before those were hashed).
+fn run_fingerprint(scenario: &ScenarioBuilder, plane_state: bool) -> u64 {
+    let mut sim = scenario.build();
     let report = sim.run_sync_window(0);
 
     let mut h = 0xcbf2_9ce4_8422_2325_u64;
@@ -112,6 +130,15 @@ fn run_fingerprint(seed: u64, alpha: f64, tune: bool) -> u64 {
         w.u64(u64::from(outcome.bursty_servers));
         fnv(&mut h, &w.finish());
     }
+    if plane_state {
+        for (t, occ) in sim.depth_samples() {
+            fnv(&mut h, &t.as_nanos().to_le_bytes());
+            fnv(&mut h, &occ.as_u64().to_le_bytes());
+        }
+        for tier in sim.tier_discard_bytes() {
+            fnv(&mut h, &tier.to_le_bytes());
+        }
+    }
     h
 }
 
@@ -127,7 +154,7 @@ const GOLDEN: &[(u64, f64, bool, u64)] = &[
 fn dt_alpha_reproduces_pre_refactor_traces_seed_for_seed() {
     let mut bad = Vec::new();
     for &(seed, alpha, tune, expected) in GOLDEN {
-        let got = run_fingerprint(seed, alpha, tune);
+        let got = run_fingerprint(&dt_alpha_incast(seed, alpha, tune), false);
         println!("({seed}, {alpha:?}, {tune}, {got:#018x}),");
         if got != expected {
             bad.push(format!(
@@ -136,4 +163,160 @@ fn dt_alpha_reproduces_pre_refactor_traces_seed_for_seed() {
         }
     }
     assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
+
+/// A 200-connection incast behind a trunk hop whose 256 KB FIFO
+/// overflows: tail drops at the off-switch queue `0xFFFF`, classified
+/// `FabricTransient`, upstream of ToR contention.
+fn trunk_incast() -> ScenarioBuilder {
+    let mut b = ScenarioBuilder::new(4, 21);
+    b.buckets(120)
+        .warmup(Ns::from_millis(10))
+        .forensics()
+        .fabric_hop(FabricHopConfig {
+            rate_bps: Bps(25_000_000_000),
+            buffer_bytes: Bytes(256 << 10),
+        })
+        .flow_at(
+            Ns::from_millis(20),
+            FlowSpec {
+                dst_server: 1,
+                connections: 200,
+                total_bytes: 20_000_000,
+                algorithm: CcAlgorithm::Dctcp,
+                paced_bps: None,
+                task: 1,
+            },
+        );
+    b
+}
+
+/// Every single-rack side path at once: a paced multicast burst to
+/// three members, keepalive chatter, a depth probe on a queue that also
+/// takes an incast, GRO coalescing, and NIC drop injection.
+fn rack_side_paths() -> ScenarioBuilder {
+    let mut b = ScenarioBuilder::new(4, 22);
+    b.buckets(120)
+        .warmup(Ns::from_millis(10))
+        .telemetry(TelemetryConfig::default())
+        .forensics()
+        .gro(GroConfig::default())
+        .join_multicast(9, 0)
+        .join_multicast(9, 2)
+        .join_multicast(9, 3)
+        .multicast_burst(Ns::from_millis(30), 9, 400, 1500, Bps(3_000_000_000))
+        .chatter(1, 16, 4_000)
+        .chatter(2, 8, 2_000)
+        .probe_queue_depth(2)
+        .nic_drops(3, 5, 0.01)
+        .flow_at(
+            Ns::from_millis(25),
+            FlowSpec {
+                dst_server: 2,
+                connections: 60,
+                total_bytes: 9_000_000,
+                algorithm: CcAlgorithm::Dctcp,
+                paced_bps: None,
+                task: 1,
+            },
+        )
+        .flow_at(
+            Ns::from_millis(40),
+            FlowSpec {
+                dst_server: 3,
+                connections: 2,
+                total_bytes: 2_000_000,
+                algorithm: CcAlgorithm::Dctcp,
+                paced_bps: Some(Bps(3_000_000_000)),
+                task: 2,
+            },
+        );
+    b
+}
+
+/// A k=4 fat tree (16 hosts) where every host outside pod 0 incasts on
+/// host 0 over 10 Gbps fabric links with 512 KB switch buffers, so drops
+/// land at agg and spine queues as well as the victim's ToR port.
+fn tree_cross_pod_incast() -> ScenarioBuilder {
+    let mut b = ScenarioBuilder::new(16, 23);
+    b.buckets(120)
+        .warmup(Ns::from_millis(10))
+        .forensics()
+        .topology(TopologySpec::fat_tree(
+            FatTreeOpts {
+                k: 4,
+                link_gbps: 10,
+                buffer_bytes: Bytes(512 << 10),
+                ..FatTreeOpts::default()
+            },
+            3,
+        ));
+    for src in 4..16u32 {
+        b.topo_flow_at(
+            Ns::from_millis(20),
+            TopoFlowSpec {
+                src_host: src,
+                dst_host: 0,
+                connections: 8,
+                total_bytes: 4_000_000,
+                algorithm: CcAlgorithm::Dctcp,
+                paced_bps: None,
+                task: 1,
+            },
+        );
+    }
+    b
+}
+
+/// `(name, scenario, fingerprint)` — captured before the forwarding
+/// plane fold.
+fn plane_golden() -> [(&'static str, ScenarioBuilder, u64); 3] {
+    [
+        ("trunk_incast", trunk_incast(), 0x541c_9f4b_b330_5ae8),
+        ("rack_side_paths", rack_side_paths(), 0x3494_4c5a_c05b_5ee3),
+        (
+            "tree_cross_pod_incast",
+            tree_cross_pod_incast(),
+            0x6144_d7d8_741c_b3ea,
+        ),
+    ]
+}
+
+#[test]
+fn forwarding_paths_reproduce_pre_fold_runs() {
+    let mut bad = Vec::new();
+    for (name, scenario, expected) in plane_golden() {
+        let got = run_fingerprint(&scenario, true);
+        println!("{name}: {got:#018x}");
+        if got != expected {
+            bad.push(format!(
+                "{name}: fingerprint {got:#018x} != golden {expected:#018x}"
+            ));
+        }
+    }
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
+
+#[test]
+fn plane_goldens_exercise_their_paths() {
+    let mut sim = trunk_incast().build();
+    sim.run_sync_window(0);
+    assert!(sim.fabric_drops() > 0, "the trunk FIFO must overflow");
+    assert!(
+        sim.forensic_counts()[2] > 0,
+        "trunk drops are FabricTransient"
+    );
+
+    let mut sim = rack_side_paths().build();
+    sim.run_sync_window(0);
+    assert!(!sim.depth_samples().is_empty(), "the probe saw admissions");
+    assert!(
+        sim.forensic_counts()[2] > 0,
+        "NIC drops are FabricTransient"
+    );
+
+    let mut sim = tree_cross_pod_incast().build();
+    sim.run_sync_window(0);
+    let [_, agg, spine] = sim.tier_discard_bytes();
+    assert!(agg + spine > 0, "cross-pod incast drops above the ToR");
 }
