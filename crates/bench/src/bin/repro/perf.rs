@@ -132,12 +132,23 @@ pub fn perf(ctx: &mut Ctx) {
         "4300".into(),
     ]);
     r.finish(&ctx.opts.out);
-    println!("  shape checks: record << pcap copy; disabled path ~an order cheaper than enabled;");
-    println!("  no-flow-count slightly cheaper than full. Absolute ns differ from the paper's");
-    println!("  1.6GHz Skylake; the ORDERING is the claim under test.");
+    // The ORDERING is the claim under test (absolute ns differ from the
+    // paper's 1.6GHz Skylake), so print what this host measured.
+    let order = |a: f64, b: f64| if a < b { "<" } else { ">=" };
     println!(
-        "  break-even vs pcap after {} packets per run (paper: 33,000), using read cost {}us",
-        f3(read_ns / 1e3 * 1e3 / (ns_pcap - ns_full).max(1e-9)),
-        f3(read_ns / 1e3)
+        "  measured: record {} pcap copy (paper 88 < 271 ns); disabled {} enabled; \
+         no-flow-count {} full",
+        order(ns_full, ns_pcap),
+        order(ns_disabled, ns_full),
+        order(ns_noflow, ns_full)
     );
+    if ns_pcap > ns_full {
+        println!(
+            "  break-even vs pcap after {} packets per run (paper: 33,000), using read cost {}us",
+            f3(read_ns / (ns_pcap - ns_full)),
+            f3(read_ns / 1e3)
+        );
+    } else {
+        println!("  no break-even on this host: record costs at least the pcap-like copy");
+    }
 }

@@ -21,7 +21,7 @@
 /// recording is two slice stores — no allocation, no panic, no floats.
 #[derive(Debug, Clone)]
 pub struct EngineProfile {
-    /// Kind names, e.g. `("switch", "TorArrive")`; index = kind id.
+    /// Kind names, e.g. `("switch", "SwArrive")`; index = kind id.
     names: &'static [(&'static str, &'static str)],
     /// Dispatches per kind (deterministic; sim-time only).
     counts: Vec<u64>,

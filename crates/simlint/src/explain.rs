@@ -158,7 +158,7 @@ pub const ALL_RULES: [(&str, &str, &str); 25] = [
          event is at least `lookahead` in the future — that slack *is* the parallelism. A \
          boundary send scheduled without its declared lookahead term (e.g. the fabric delay) \
          shrinks the safe window to zero and serializes the engine.",
-        "crates/workload/src/sim.rs:1610:13: [lookahead-floor] boundary schedule of `TorArrive` \
+        "crates/workload/src/sim.rs:1597:9: [lookahead-floor] boundary schedule of `SwArrive` \
          in `RackSim::handle_mcast_send` does not include declared lookahead `fabric_delay`\n    \
          hint: cross-LP events must add the link's lookahead so conservative parallel \
          execution has slack — route the delay through the declared term",

@@ -5,15 +5,22 @@
 //! ```text
 //!  TaskGen ──FlowSpec──▶ Sender ──segments──▶ source NIC ─(pacer)─▶ fabric
 //!                                                                    │
-//!                                   ┌────────────────────────────────┘
-//!                                   ▼
-//!                     ToR SharedBufferSwitch (DT admission, ECN mark)
-//!                                   │ per-server 12.5G downlink
+//!                                   ┌───────── [trunk FIFO] ◀────────┘
+//!                                   ▼ SwArrive
+//!                  plane switch: SharedBufferSwitch (admission, ECN mark)
+//!                                   │ SwDrain: egress link of the port
+//!                                   │ (rack ToR: port = server; fat tree:
+//!                                   │  route + ECMP, maybe to the next switch)
 //!                                   ▼
 //!        Host ─▶ TcFilter.record(ingress) ─▶ Receiver ─ACK─▶ TcFilter(egress)
 //!                                   │                          │
 //!                                   └──────────◀ fabric ◀──────┘
 //! ```
+//!
+//! Every switch hop runs through one forwarding plane: a single rack is
+//! a one-node plane whose ToR forwards to `port = dst`, and a fat tree is
+//! the same plane with more nodes and a router. Either way one arrive
+//! handler and one drain handler move every packet.
 //!
 //! Data flows fabric→rack (ingress, the direction the paper analyzes);
 //! ACKs return over an uncongested reverse path (§3: "most of the
@@ -27,7 +34,6 @@ use crate::tasks::{FlowSpec, TaskGen, TaskKind, TopoFlowSpec, WorkItem};
 use millisampler::{AlignedRackRun, PacketMeta, RunConfig, SyncCoordinator, TcFilter};
 use ms_dcsim::link::Pacer;
 use ms_dcsim::packet::{NodeId, PacketKind};
-use ms_dcsim::switch::MinuteBin;
 use ms_dcsim::{
     Bps, Bytes, Direction, EngineProfile, EventQueue, FlowId, Host, Link, Ns, Packet, RackConfig,
     SharedBufferSwitch, SimRng,
@@ -36,7 +42,7 @@ use ms_telemetry::{
     DropCause, DropForensic, DropReason, PerfettoMeta, SharedTelemetry, Telemetry, TelemetryConfig,
     TraceEvent,
 };
-use ms_topo::{EcmpHash, FatTree, FatTreeOpts, HopTarget, SwitchId};
+use ms_topo::{EcmpHash, FatTree, FatTreeOpts, HopTarget, SwitchId, Tier};
 use ms_transport::{CcAlgorithm, Receiver, Sender, SenderConfig};
 use std::collections::BTreeMap;
 
@@ -175,8 +181,6 @@ pub struct RackSimReport {
     pub switch_discard_bytes: u64,
     /// Ground truth: bytes admitted by the switch (whole simulation).
     pub switch_ingress_bytes: u64,
-    /// 1-minute switch telemetry bins.
-    pub minute_bins: Vec<MinuteBin>,
     /// Connection groups started.
     pub flows_started: u64,
     /// Connections completed (all bytes delivered and acknowledged).
@@ -191,10 +195,6 @@ enum Ev {
     Gen { idx: usize },
     /// Start the connections of a flow spec.
     StartFlow { spec: FlowSpec },
-    /// Packet reaches the ToR ingress pipeline.
-    TorArrive { pkt: Packet },
-    /// Egress link for `queue` is free to pull the next packet.
-    TorDrain { queue: usize },
     /// Packet reaches a rack server.
     HostDeliver { pkt: Packet },
     /// ACK reaches the fabric-side sender.
@@ -216,11 +216,12 @@ enum Ev {
     GroFlush { server: usize, gen: u64 },
     /// Periodic DT α retuning tick (the §9 "dynamic buffer sharing" probe).
     AlphaTune,
-    /// Packet reaches a fabric switch's ingress pipeline (`sw` is the
-    /// flat switch ordinal; 0 for the degenerate trunk).
+    /// Packet reaches the ingress pipeline of plane switch `sw` (its
+    /// flat ordinal: a single rack's ToR is 0), or the trunk FIFO in
+    /// front of that ToR when `sw` is [`TRUNK`].
     SwArrive { sw: u32, pkt: Packet },
-    /// Output `port` of fabric switch `sw` is free to pull the next
-    /// packet (the trunk is `sw = 0, port = 0`).
+    /// Egress `port` of plane switch `sw` is free to pull the next
+    /// packet (the trunk FIFO is `sw = TRUNK, port = 0`).
     SwDrain { sw: u32, port: u32 },
     /// Enable all samplers (the synchronized run start).
     EnableSamplers,
@@ -237,8 +238,6 @@ enum Ev {
 const EV_KINDS: &[(&str, &str)] = &[
     ("gen", "Gen"),
     ("gen", "StartFlow"),
-    ("switch", "TorArrive"),
-    ("switch", "TorDrain"),
     ("host", "HostDeliver"),
     ("transport", "SourceDeliver"),
     ("transport", "SenderTimer"),
@@ -247,8 +246,8 @@ const EV_KINDS: &[(&str, &str)] = &[
     ("host", "Chatter"),
     ("host", "GroFlush"),
     ("switch", "AlphaTune"),
-    ("fabric", "SwArrive"),
-    ("fabric", "SwDrain"),
+    ("switch", "SwArrive"),
+    ("switch", "SwDrain"),
     ("sampler", "EnableSamplers"),
     ("sampler", "AgentEnable"),
     ("sampler", "AgentCollect"),
@@ -260,22 +259,20 @@ fn ev_kind(ev: &Ev) -> usize {
     match ev {
         Ev::Gen { .. } => 0,
         Ev::StartFlow { .. } => 1,
-        Ev::TorArrive { .. } => 2,
-        Ev::TorDrain { .. } => 3,
-        Ev::HostDeliver { .. } => 4,
-        Ev::SourceDeliver { .. } => 5,
-        Ev::SenderTimer { .. } => 6,
-        Ev::ReceiverTimer { .. } => 7,
-        Ev::McastSend { .. } => 8,
-        Ev::Chatter { .. } => 9,
-        Ev::GroFlush { .. } => 10,
-        Ev::AlphaTune => 11,
-        Ev::SwArrive { .. } => 12,
-        Ev::SwDrain { .. } => 13,
-        Ev::EnableSamplers => 14,
-        Ev::AgentEnable { .. } => 15,
-        Ev::AgentCollect { .. } => 16,
-        Ev::StartTopoFlow { .. } => 17,
+        Ev::HostDeliver { .. } => 2,
+        Ev::SourceDeliver { .. } => 3,
+        Ev::SenderTimer { .. } => 4,
+        Ev::ReceiverTimer { .. } => 5,
+        Ev::McastSend { .. } => 6,
+        Ev::Chatter { .. } => 7,
+        Ev::GroFlush { .. } => 8,
+        Ev::AlphaTune => 9,
+        Ev::SwArrive { .. } => 10,
+        Ev::SwDrain { .. } => 11,
+        Ev::EnableSamplers => 12,
+        Ev::AgentEnable { .. } => 13,
+        Ev::AgentCollect { .. } => 14,
+        Ev::StartTopoFlow { .. } => 15,
     }
 }
 
@@ -302,16 +299,12 @@ pub struct RackSim {
     cfg: RackSimConfig,
     q: EventQueue<Ev>,
     rng: SimRng,
-    switch: SharedBufferSwitch,
     hosts: Vec<Host>,
     filters: Vec<TcFilter>,
-    /// Per-server ToR→server downlink.
-    tor_links: Vec<Link>,
-    draining: Vec<bool>,
     flows: BTreeMap<u64, FlowState>,
     next_flow: u64,
     /// Multicast rate limiter state is carried in events; groups live in
-    /// the switch.
+    /// the rack's ToR.
     mcast_pacers: BTreeMap<u32, Pacer>,
     generators: Vec<TaskGen>,
     sender_cfg: SenderConfig,
@@ -331,9 +324,9 @@ pub struct RackSim {
     /// Per-server pending GRO super-segment.
     gro_pending: Vec<Option<GroPending>>,
     gro_gen: u64,
-    /// Fabric plane state: the degenerate trunk FIFO or the full
-    /// fat-tree switch mesh.
-    plane: Option<Plane>,
+    /// The forwarding plane: the rack's ToR (behind an optional trunk
+    /// FIFO) or the full fat-tree switch mesh.
+    plane: Plane,
     /// Per-host user-space agents (agent mode): scheduler + on-host store.
     agents: Vec<Option<AgentState>>,
     /// Optional pcap capture of all host-delivered packets.
@@ -366,13 +359,27 @@ struct GroPending {
     gen: u64,
 }
 
-/// The instantiated fabric upstream of the hosts.
+/// Flat ordinal of the switch a single rack's remote senders, chatter
+/// and multicast enter: the rack's lone ToR. (The scenario builder keeps
+/// that traffic out of fat trees, whose hosts send from their own ToR.)
+const RACK_TOR: u32 = 0;
+
+/// The `SwArrive`/`SwDrain` target naming the trunk FIFO in front of a
+/// single rack's ToR; never a switch ordinal.
+const TRUNK: u32 = u32::MAX;
+
+/// The forwarding plane: every modelled switch by flat ordinal, and the
+/// routing shape that picks each hop's egress port. A single rack is a
+/// one-node plane (its ToR, `port = dst`, every port a host downlink); a
+/// fat tree lays out its ToRs, then aggs, then spines.
 #[derive(Debug)]
-enum Plane {
-    /// One shared FIFO drained at trunk rate (the `k = 1` region).
-    Trunk(TrunkState),
-    /// The fat-tree switch mesh.
-    Tree(TreePlane),
+struct Plane {
+    nodes: Vec<PlaneSwitch>,
+    /// Fat-tree routing; `None` for a single rack.
+    routes: Option<TreeRoutes>,
+    /// The trunk FIFO ahead of a single rack's ToR
+    /// ([`TopologySpec::Trunk`]).
+    trunk: Option<TrunkState>,
 }
 
 #[derive(Debug)]
@@ -386,26 +393,141 @@ struct TrunkState {
     drops: u64,
 }
 
-/// One fat-tree switch in the simulator: the shared-buffer ASIC plus
-/// one egress link and drain flag per port.
+/// One plane switch: the shared-buffer ASIC and its egress ports.
 #[derive(Debug)]
 struct PlaneSwitch {
     /// Tier + index (cached inverse of the flat ordinal).
     id: SwitchId,
     switch: SharedBufferSwitch,
-    /// Per-port egress links (ToR host ports run at server rate, all
-    /// inter-switch ports at the tree's link rate).
-    links: Vec<Link>,
-    draining: Vec<bool>,
+    ports: Vec<Port>,
 }
 
-/// The fat-tree plane: shape, ECMP hash, and per-switch state indexed
-/// by flat switch ordinal (ToRs, then aggs, then spines).
+/// One egress port: its link, whether its drain is scheduled, and what
+/// the link leads to.
 #[derive(Debug)]
-struct TreePlane {
+struct Port {
+    /// Host ports run at server rate, fat-tree inter-switch ports at the
+    /// tree's link rate.
+    link: Link,
+    draining: bool,
+    /// Flat ordinal of the switch at the far end; `None` for a host.
+    next: Option<u32>,
+}
+
+/// Fat-tree routing: the tree's shape and the ECMP hash.
+#[derive(Debug)]
+struct TreeRoutes {
     tree: FatTree,
     ecmp: EcmpHash,
-    nodes: Vec<PlaneSwitch>,
+}
+
+impl TreeRoutes {
+    /// The egress port of switch `sw` (flat ordinal `ord`) toward
+    /// `pkt.dst`: ECMP over equal-cost uplinks, salted by the switch
+    /// ordinal so consecutive tiers decorrelate.
+    fn egress_port(&self, sw: SwitchId, ord: u32, pkt: &Packet) -> u32 {
+        let hops = self.tree.route(sw, pkt.dst);
+        if hops.count == 1 {
+            return hops.base_port;
+        }
+        let choice = self.ecmp.pick(
+            pkt.flow.0,
+            u64::from(pkt.src),
+            u64::from(pkt.dst),
+            u64::from(ord),
+            hops.count,
+        );
+        hops.port(choice)
+    }
+}
+
+impl Plane {
+    /// Instantiates the plane of `cfg.topology`: the rack's own ToR
+    /// (carrying `cfg.rack.switch`, behind the trunk FIFO if one is
+    /// configured), or one [`PlaneSwitch`] per fat-tree switch with
+    /// tier-aware telemetry queue-id bases so forensics and Perfetto
+    /// tracks attribute every record to a specific ToR/agg/spine.
+    fn build(cfg: &RackSimConfig) -> Plane {
+        let port = |link, next| Port {
+            link,
+            draining: false,
+            next,
+        };
+        let host_port = || {
+            let link = Link::new(cfg.rack.server_link_bps, cfg.rack.server_link_delay);
+            port(link, None)
+        };
+        let Some(TopologySpec::FatTree { opts, ecmp_seed }) = cfg.topology else {
+            let trunk = match cfg.topology {
+                Some(TopologySpec::Trunk(fc)) => Some(TrunkState {
+                    cfg: fc,
+                    fifo: std::collections::VecDeque::new(),
+                    occupancy: Bytes::ZERO,
+                    link: Link::new(fc.rate_bps, Ns::from_micros(5)),
+                    draining: false,
+                    drops: 0,
+                }),
+                _ => None,
+            };
+            let tor = PlaneSwitch {
+                id: SwitchId {
+                    tier: Tier::Tor,
+                    index: 0,
+                },
+                switch: SharedBufferSwitch::new(cfg.rack.switch.clone()),
+                ports: (0..cfg.rack.num_servers).map(|_| host_port()).collect(),
+            };
+            return Plane {
+                nodes: vec![tor],
+                routes: None,
+                trunk,
+            };
+        };
+        let tree = FatTree::new(opts);
+        assert_eq!(
+            cfg.rack.num_servers,
+            tree.num_hosts() as usize,
+            "fat-tree topology requires num_servers == k^3/4 hosts"
+        );
+        let sw_cfg = ms_dcsim::SwitchConfig {
+            num_queues: tree.ports_per_switch() as usize,
+            num_quadrants: 1,
+            quadrant_bytes: opts.buffer_bytes,
+            dedicated_per_queue: Bytes(2 * u64::from(cfg.rack.mss)),
+            ecn_threshold: cfg.rack.switch.ecn_threshold,
+            policy: opts.policy,
+        };
+        let nodes = (0..tree.num_switches())
+            .map(|ord| {
+                let id = tree.switch_at(ord);
+                let mut switch = SharedBufferSwitch::new(sw_cfg.clone());
+                switch.set_queue_id_base(ms_telemetry::qid::qid_base(id.tier.code(), id.index));
+                let ports = (0..tree.ports_per_switch())
+                    .map(|p| match tree.hop_target(id, p) {
+                        HopTarget::Host(_) => host_port(),
+                        HopTarget::Switch { switch, .. } => port(
+                            Link::new(opts.link_bps(), opts.link_latency()),
+                            Some(tree.switch_ord(switch)),
+                        ),
+                    })
+                    .collect();
+                PlaneSwitch { id, switch, ports }
+            })
+            .collect();
+        Plane {
+            nodes,
+            routes: Some(TreeRoutes {
+                tree,
+                ecmp: EcmpHash::new(ecmp_seed),
+            }),
+            trunk: None,
+        }
+    }
+
+    /// The single rack's ToR switch.
+    fn rack_tor(&mut self) -> &mut SharedBufferSwitch {
+        &mut self.nodes[RACK_TOR as usize].switch
+    }
 }
 
 impl RackSim {
@@ -434,22 +556,16 @@ impl RackSim {
         let filters = (0..s)
             .map(|_| TcFilter::new(&cfg.sampler, cfg.rack.cpus_per_server))
             .collect();
-        let tor_links = (0..s)
-            .map(|_| Link::new(cfg.rack.server_link_bps, cfg.rack.server_link_delay))
-            .collect();
         let sender_cfg = SenderConfig {
             mss: cfg.rack.mss,
             algorithm: CcAlgorithm::Dctcp,
             ..SenderConfig::default()
         };
         let mut sim = RackSim {
-            switch: SharedBufferSwitch::new(cfg.rack.switch.clone()),
             q: EventQueue::new(),
             rng,
             hosts,
             filters,
-            tor_links,
-            draining: vec![false; s as usize],
             flows: BTreeMap::new(),
             next_flow: 1,
             mcast_pacers: BTreeMap::new(),
@@ -463,7 +579,7 @@ impl RackSim {
             nic_drops: BTreeMap::new(),
             gro_pending: vec![None; s as usize],
             gro_gen: 0,
-            plane: cfg.topology.map(|t| Self::build_plane(&t, &cfg)),
+            plane: Plane::build(&cfg),
             agents: (0..s).map(|_| None).collect(),
             pcap: None,
             telemetry: None,
@@ -475,72 +591,6 @@ impl RackSim {
             sim.q.schedule(period, Ev::AlphaTune);
         }
         sim
-    }
-
-    /// Instantiates the fabric plane of a topology spec: the trunk's
-    /// FIFO, or one [`PlaneSwitch`] per fat-tree switch with tier-aware
-    /// telemetry queue-id bases so forensics and Perfetto tracks
-    /// attribute every record to a specific ToR/agg/spine.
-    fn build_plane(topology: &TopologySpec, cfg: &RackSimConfig) -> Plane {
-        match *topology {
-            TopologySpec::Trunk(fc) => Plane::Trunk(TrunkState {
-                cfg: fc,
-                fifo: std::collections::VecDeque::new(),
-                occupancy: Bytes::ZERO,
-                link: Link::new(fc.rate_bps, Ns::from_micros(5)),
-                draining: false,
-                drops: 0,
-            }),
-            TopologySpec::FatTree { opts, ecmp_seed } => {
-                let tree = FatTree::new(opts);
-                assert_eq!(
-                    cfg.rack.num_servers,
-                    tree.num_hosts() as usize,
-                    "fat-tree topology requires num_servers == k^3/4 hosts"
-                );
-                let ports = tree.ports_per_switch() as usize;
-                let r = tree.radix_half();
-                let sw_cfg = ms_dcsim::SwitchConfig {
-                    num_queues: ports,
-                    num_quadrants: 1,
-                    quadrant_bytes: opts.buffer_bytes,
-                    dedicated_per_queue: Bytes(2 * u64::from(cfg.rack.mss)),
-                    ecn_threshold: cfg.rack.switch.ecn_threshold,
-                    policy: opts.policy,
-                };
-                let nodes = (0..tree.num_switches())
-                    .map(|ord| {
-                        let id = tree.switch_at(ord);
-                        let mut switch = SharedBufferSwitch::new(sw_cfg.clone());
-                        switch.set_queue_id_base(ms_telemetry::qid::qid_base(
-                            id.tier.code(),
-                            id.index,
-                        ));
-                        let links = (0..tree.ports_per_switch())
-                            .map(|port| {
-                                if tree.is_host_port(id, port) {
-                                    Link::new(cfg.rack.server_link_bps, cfg.rack.server_link_delay)
-                                } else {
-                                    Link::new(opts.link_bps(), opts.link_latency())
-                                }
-                            })
-                            .collect();
-                        debug_assert!(r >= 1);
-                        PlaneSwitch {
-                            id,
-                            switch,
-                            links,
-                            draining: vec![false; ports],
-                        }
-                    })
-                    .collect();
-                Plane::Tree(TreePlane {
-                    tree,
-                    ecmp: EcmpHash::new(ecmp_seed),
-                    nodes,
-                })
-            }
-        }
     }
 
     /// Installs a NIC-level random drop injector on `server` (fault
@@ -558,23 +608,15 @@ impl RackSim {
     /// for fat-tree regions, whose fabric drops land in real switch
     /// buffers — see [`RackSim::tier_discard_bytes`]).
     pub fn fabric_drops(&self) -> u64 {
-        match &self.plane {
-            Some(Plane::Trunk(t)) => t.drops,
-            _ => 0,
-        }
+        self.plane.trunk.as_ref().map_or(0, |t| t.drops)
     }
 
-    /// Per-tier `[ToR, agg, spine]` discard bytes of a fat-tree plane;
-    /// the single-rack/trunk case reports the legacy ToR in slot 0.
+    /// Per-tier `[ToR, agg, spine]` discard bytes of the plane (a single
+    /// rack's ToR lands in slot 0).
     pub fn tier_discard_bytes(&self) -> [u64; 3] {
         let mut tiers = [0u64; 3];
-        match &self.plane {
-            Some(Plane::Tree(tp)) => {
-                for node in &tp.nodes {
-                    tiers[usize::from(node.id.tier.code())] += node.switch.total_discard_bytes();
-                }
-            }
-            _ => tiers[0] = self.switch.total_discard_bytes(),
+        for node in &self.plane.nodes {
+            tiers[usize::from(node.id.tier.code())] += node.switch.total_discard_bytes();
         }
         tiers
     }
@@ -673,8 +715,10 @@ impl RackSim {
         let which = self.rng.gen_range(pool);
         let flow = FlowId(0x4000_0000_0000_0000 | ((server as u64) << 32) | which);
         let pkt = Packet::data(flow, 30_000 + server as NodeId, server as NodeId, 0, 200);
-        self.q
-            .schedule(now + self.cfg.rack.fabric_delay, Ev::TorArrive { pkt });
+        self.q.schedule(
+            now + self.cfg.rack.fabric_delay,
+            Ev::SwArrive { sw: RACK_TOR, pkt },
+        );
         let next = Ns((self.rng.exp(gap.as_nanos() as f64)).max(1.0) as u64);
         // simlint: allow(non-monotonic-schedule): the exponential gap is clamped to >= 1.0 before the u64 conversion, so `now + next` is strictly in the future regardless of float rounding
         self.q.schedule(now + next, Ev::Chatter { server });
@@ -703,7 +747,7 @@ impl RackSim {
 
     /// Subscribes a server to a rack-local multicast group (Fig. 3 tool).
     pub(crate) fn join_multicast(&mut self, group: u32, server: usize) {
-        self.switch.join_multicast(group, server);
+        self.plane.rack_tor().join_multicast(group, server);
     }
 
     /// Schedules a paced multicast burst at `at` (validation tooling).
@@ -737,41 +781,32 @@ impl RackSim {
         self.q.schedule(at, Ev::StartTopoFlow { spec });
     }
 
-    /// Ground-truth switch discard bytes so far (all switches: the
-    /// legacy ToR plus every fat-tree plane switch).
+    /// Ground-truth switch discard bytes so far, over every plane switch.
     pub fn switch_discards(&self) -> u64 {
-        self.total_switch_discards()
-    }
-
-    fn total_switch_discards(&self) -> u64 {
-        let mut total = self.switch.total_discard_bytes();
-        if let Some(Plane::Tree(tp)) = &self.plane {
-            for node in &tp.nodes {
-                total += node.switch.total_discard_bytes();
-            }
-        }
-        total
+        self.plane
+            .nodes
+            .iter()
+            .map(|n| n.switch.total_discard_bytes())
+            .sum()
     }
 
     fn total_switch_ingress(&self) -> u64 {
-        let mut total = self.switch.total_ingress_bytes();
-        if let Some(Plane::Tree(tp)) = &self.plane {
-            for node in &tp.nodes {
-                total += node.switch.total_ingress_bytes();
-            }
-        }
-        total
+        self.plane
+            .nodes
+            .iter()
+            .map(|n| n.switch.total_ingress_bytes())
+            .sum()
     }
 
     /// Attaches an occupancy probe to `server`'s ToR egress queue (see
     /// [`SharedBufferSwitch::probe_queue_depth`]).
     pub(crate) fn probe_queue_depth(&mut self, server: usize) {
-        self.switch.probe_queue_depth(server);
+        self.plane.rack_tor().probe_queue_depth(server);
     }
 
     /// The probed queue's `(time, occupancy)` admission samples.
     pub fn depth_samples(&self) -> &[(Ns, Bytes)] {
-        self.switch.depth_samples()
+        self.plane.nodes[RACK_TOR as usize].switch.depth_samples()
     }
 
     /// Attaches a telemetry hub to the whole stack: the ToR switch traces
@@ -786,11 +821,8 @@ impl RackSim {
     /// read `hub.borrow().metrics` after [`RackSim::finalize_metrics`].
     pub(crate) fn attach_telemetry(&mut self, cfg: TelemetryConfig) -> SharedTelemetry {
         let hub = Telemetry::shared(cfg);
-        self.switch.set_telemetry(hub.clone());
-        if let Some(Plane::Tree(tp)) = &mut self.plane {
-            for node in &mut tp.nodes {
-                node.switch.set_telemetry(hub.clone());
-            }
+        for node in &mut self.plane.nodes {
+            node.switch.set_telemetry(hub.clone());
         }
         for (server, filter) in self.filters.iter_mut().enumerate() {
             // simlint: allow(cast-truncation): server indices are < rack size
@@ -878,7 +910,7 @@ impl RackSim {
                     .unwrap_or(0),
             ),
             ("switch.ingress_bytes", self.total_switch_ingress()),
-            ("switch.discard_bytes", self.total_switch_discards()),
+            ("switch.discard_bytes", self.switch_discards()),
             ("sim.flows_started", self.flows_started),
             ("sim.conns_completed", self.conns_completed),
             ("sim.fabric_drops", self.fabric_drops()),
@@ -892,15 +924,9 @@ impl RackSim {
             m.set_gauge(id, value);
         }
         let h = m.histogram("switch.queue_max_occupancy");
-        if let Some(Plane::Tree(tp)) = &self.plane {
-            for node in &tp.nodes {
-                for queue in 0..node.switch.config().num_queues {
-                    m.observe(h, node.switch.queue_stats(queue).max_occupancy.as_u64());
-                }
-            }
-        } else {
-            for queue in 0..self.cfg.rack.num_servers {
-                m.observe(h, self.switch.queue_stats(queue).max_occupancy.as_u64());
+        for node in &self.plane.nodes {
+            for queue in 0..node.switch.config().num_queues {
+                m.observe(h, node.switch.queue_stats(queue).max_occupancy.as_u64());
             }
         }
     }
@@ -965,15 +991,16 @@ impl RackSim {
 
     /// Pushes sender-emitted packets onto the fabric path toward the
     /// ToR. Legacy flows originate at abstract off-region NICs (the
-    /// per-flow `src_link`); fat-tree flows originate at a real host —
-    /// its shared uplink serializes all of the host's connections, and
-    /// its tc filter records the egress.
+    /// per-flow `src_link`) and enter the rack's ToR, or the trunk FIFO
+    /// in front of it; fat-tree flows originate at a real host — its
+    /// shared uplink serializes all of the host's connections, and its
+    /// tc filter records the egress.
     fn send_from_source(&mut self, flow: u64, pkts: Vec<Packet>, now: Ns) {
         let topo_src = self.flows.get(&flow).and_then(|s| s.topo_src);
         if let Some(src) = topo_src {
-            let tor = match &self.plane {
-                Some(Plane::Tree(tp)) => tp.tree.switch_ord(tp.tree.tor_of(src)),
-                _ => unreachable!("topo flow without a fat-tree plane"),
+            let tor = match &self.plane.routes {
+                Some(r) => r.tree.switch_ord(r.tree.tor_of(src)),
+                None => unreachable!("topo flow without a fat-tree plane"),
             };
             let src = src as usize;
             for pkt in pkts {
@@ -993,7 +1020,11 @@ impl RackSim {
             }
             return;
         }
-        let has_fabric = self.plane.is_some();
+        let entry = if self.plane.trunk.is_some() {
+            TRUNK
+        } else {
+            RACK_TOR
+        };
         let Some(state) = self.flows.get_mut(&flow) else {
             return;
         };
@@ -1003,11 +1034,7 @@ impl RackSim {
                 None => now,
             };
             let (_dep, arrive) = state.src_link.transmit(release, pkt.size);
-            if has_fabric {
-                self.q.schedule(arrive, Ev::SwArrive { sw: 0, pkt });
-            } else {
-                self.q.schedule(arrive, Ev::TorArrive { pkt });
-            }
+            self.q.schedule(arrive, Ev::SwArrive { sw: entry, pkt });
         }
     }
 
@@ -1082,25 +1109,82 @@ impl RackSim {
         }
     }
 
+    /// One switch hop: pick the egress port (rack ToR: the destination
+    /// server; fat tree: route + ECMP; multicast: every member port) and
+    /// offer the packet to that port's shared-buffer queue. Packets for
+    /// [`TRUNK`] queue in the trunk FIFO instead.
     fn handle_sw_arrive(&mut self, sw: u32, pkt: Packet, now: Ns) {
-        if matches!(self.plane, Some(Plane::Trunk(_))) {
+        if sw == TRUNK {
             self.handle_trunk_arrive(pkt, now);
-        } else {
-            self.handle_tree_arrive(sw, pkt, now);
+            return;
+        }
+        match pkt.kind {
+            PacketKind::Data => {
+                let port = match &self.plane.routes {
+                    None => pkt.dst,
+                    Some(r) => r.egress_port(self.plane.nodes[sw as usize].id, sw, &pkt),
+                };
+                self.offer(sw, port, pkt, now);
+            }
+            PacketKind::Multicast => {
+                let members = self.plane.nodes[sw as usize]
+                    .switch
+                    .multicast_members(pkt.dst)
+                    .to_vec();
+                for queue in members {
+                    let mut copy = pkt;
+                    copy.dst = queue as NodeId;
+                    self.offer(sw, copy.dst, copy, now);
+                }
+            }
+            PacketKind::Ack => unreachable!("ACKs return over the static reverse path"),
         }
     }
 
+    /// Offers `pkt` to egress `port` of switch `sw`, waking the port's
+    /// drain if it was idle. Hot path: drops are silent here (the switch
+    /// records the forensic; transport recovers end to end).
+    fn offer(&mut self, sw: u32, port: u32, pkt: Packet, now: Ns) {
+        let node = &mut self.plane.nodes[sw as usize];
+        if !node.switch.try_enqueue(port as usize, pkt, now).accepted() {
+            return;
+        }
+        let out = &mut node.ports[port as usize];
+        if !out.draining {
+            out.draining = true;
+            let at = out.link.idle_at().max(now);
+            self.q.schedule(at, Ev::SwDrain { sw, port });
+        }
+    }
+
+    /// Egress `port` of switch `sw` pulls its next packet onto the link,
+    /// toward a host or the next switch.
     fn handle_sw_drain(&mut self, sw: u32, port: u32, now: Ns) {
-        if matches!(self.plane, Some(Plane::Trunk(_))) {
+        if sw == TRUNK {
             self.handle_trunk_drain(now);
-        } else {
-            self.handle_tree_drain(sw, port, now);
+            return;
         }
+        let node = &mut self.plane.nodes[sw as usize];
+        let pkt = node.switch.dequeue(port as usize, now);
+        let out = &mut node.ports[port as usize];
+        let Some(pkt) = pkt else {
+            out.draining = false;
+            return;
+        };
+        let (departed, arrived) = out.link.transmit(now, pkt.size);
+        match out.next {
+            None => self.q.schedule(arrived, Ev::HostDeliver { pkt }),
+            Some(next) => self.q.schedule(arrived, Ev::SwArrive { sw: next, pkt }),
+        }
+        self.q.schedule(departed, Ev::SwDrain { sw, port });
     }
 
+    /// Tail-drop admission into the trunk FIFO (no ECN, no policy): an
+    /// overflow is an off-switch `FabricTransient` drop at queue
+    /// [`Self::FABRIC_QUEUE`].
     fn handle_trunk_arrive(&mut self, pkt: Packet, now: Ns) {
-        let Some(Plane::Trunk(trunk)) = &mut self.plane else {
-            unreachable!("trunk event without trunk plane");
+        let Some(trunk) = &mut self.plane.trunk else {
+            unreachable!("trunk event without a trunk");
         };
         if trunk.occupancy + Bytes(u64::from(pkt.size)) > trunk.cfg.buffer_bytes {
             trunk.drops += 1;
@@ -1121,82 +1205,24 @@ impl RackSim {
         if !trunk.draining {
             trunk.draining = true;
             let at = trunk.link.idle_at().max(now);
-            self.q.schedule(at, Ev::SwDrain { sw: 0, port: 0 });
+            self.q.schedule(at, Ev::SwDrain { sw: TRUNK, port: 0 });
         }
     }
 
     fn handle_trunk_drain(&mut self, now: Ns) {
-        let Some(Plane::Trunk(trunk)) = &mut self.plane else {
-            unreachable!("trunk event without trunk plane");
+        let Some(trunk) = &mut self.plane.trunk else {
+            unreachable!("trunk event without a trunk");
         };
         match trunk.fifo.pop_front() {
             Some(pkt) => {
                 trunk.occupancy -= Bytes(u64::from(pkt.size));
                 let (departed, arrived) = trunk.link.transmit(now, pkt.size);
-                self.q.schedule(arrived, Ev::TorArrive { pkt });
-                self.q.schedule(departed, Ev::SwDrain { sw: 0, port: 0 });
+                self.q.schedule(arrived, Ev::SwArrive { sw: RACK_TOR, pkt });
+                self.q
+                    .schedule(departed, Ev::SwDrain { sw: TRUNK, port: 0 });
             }
             None => {
                 trunk.draining = false;
-            }
-        }
-    }
-
-    /// One fat-tree switch hop: route toward the destination host, pick
-    /// the egress port (ECMP over equal-cost uplinks, salted by the
-    /// switch ordinal so consecutive tiers decorrelate), and offer the
-    /// packet to that port's shared-buffer queue. Hot path: integer
-    /// arithmetic only, drops are silent here (the switch records the
-    /// forensic; transport recovers end to end).
-    fn handle_tree_arrive(&mut self, sw: u32, pkt: Packet, now: Ns) {
-        let Some(Plane::Tree(tp)) = &mut self.plane else {
-            unreachable!("tree event without tree plane");
-        };
-        let node_id = tp.nodes[sw as usize].id;
-        let hops = tp.tree.route(node_id, pkt.dst);
-        let port = if hops.count == 1 {
-            hops.base_port
-        } else {
-            let choice = tp.ecmp.pick(
-                pkt.flow.0,
-                u64::from(pkt.src),
-                u64::from(pkt.dst),
-                u64::from(sw),
-                hops.count,
-            );
-            hops.port(choice)
-        };
-        let node = &mut tp.nodes[sw as usize];
-        let p = port as usize;
-        if node.switch.try_enqueue(p, pkt, now).accepted() && !node.draining[p] {
-            node.draining[p] = true;
-            let at = node.links[p].idle_at().max(now);
-            self.q.schedule(at, Ev::SwDrain { sw, port });
-        }
-    }
-
-    fn handle_tree_drain(&mut self, sw: u32, port: u32, now: Ns) {
-        let Some(Plane::Tree(tp)) = &mut self.plane else {
-            unreachable!("tree event without tree plane");
-        };
-        let node = &mut tp.nodes[sw as usize];
-        let p = port as usize;
-        match node.switch.dequeue(p, now) {
-            Some(pkt) => {
-                let (departed, arrived) = node.links[p].transmit(now, pkt.size);
-                match tp.tree.hop_target(node.id, port) {
-                    HopTarget::Host(_) => {
-                        self.q.schedule(arrived, Ev::HostDeliver { pkt });
-                    }
-                    HopTarget::Switch { switch, .. } => {
-                        let next = tp.tree.switch_ord(switch);
-                        self.q.schedule(arrived, Ev::SwArrive { sw: next, pkt });
-                    }
-                }
-                self.q.schedule(departed, Ev::SwDrain { sw, port });
-            }
-            None => {
-                node.draining[p] = false;
             }
         }
     }
@@ -1209,8 +1235,9 @@ impl RackSim {
         // few queues are active, grant each a large share (high α, absorb
         // bursts); as contention rises, fall back toward fair small
         // shares (low α, stability).
+        let tor = self.plane.rack_tor();
         let s_max = (0..self.cfg.rack.switch.num_quadrants)
-            .map(|q| self.switch.active_queues(q))
+            .map(|q| tor.active_queues(q))
             .max()
             .unwrap_or(0);
         let alpha = (4.0 / (1.0 + s_max as f64)).clamp(0.25, 4.0);
@@ -1218,11 +1245,10 @@ impl RackSim {
         // is actually running Dynamic Thresholds (retuning α under FB or
         // delay-driven sharing would silently convert the policy).
         if matches!(
-            self.switch.config().policy,
+            tor.config().policy,
             ms_dcsim::BufferPolicySpec::DtAlpha { .. }
         ) {
-            self.switch
-                .set_policy(ms_dcsim::BufferPolicySpec::DtAlpha { alpha });
+            tor.set_policy(ms_dcsim::BufferPolicySpec::DtAlpha { alpha });
         }
         self.q.schedule(now + period, Ev::AlphaTune);
     }
@@ -1333,12 +1359,12 @@ impl RackSim {
     /// and the ACK path's static delay is the reverse walk's remaining
     /// links at the tree's per-link latency.
     fn start_topo_flow(&mut self, spec: &TopoFlowSpec, now: Ns) {
-        let ack_delay = match &self.plane {
-            Some(Plane::Tree(tp)) => {
-                let links = tp.tree.path_links(spec.src_host, spec.dst_host);
-                tp.tree.opts().link_latency() * u64::from(links.saturating_sub(1))
+        let ack_delay = match &self.plane.routes {
+            Some(r) => {
+                let links = r.tree.path_links(spec.src_host, spec.dst_host);
+                r.tree.opts().link_latency() * u64::from(links.saturating_sub(1))
             }
-            _ => panic!("topology flows require a fat-tree topology"),
+            None => panic!("topology flows require a fat-tree topology"),
         };
         self.flows_started += 1;
         let conns = spec.connections.max(1);
@@ -1398,52 +1424,6 @@ impl RackSim {
             };
             self.send_from_source(id, pkts, start);
             self.sync_sender_timer(id);
-        }
-    }
-
-    fn handle_tor_arrive(&mut self, pkt: Packet, now: Ns) {
-        match pkt.kind {
-            PacketKind::Multicast => {
-                // Replicate into every member queue.
-                let members: Vec<usize> = self.switch.multicast_members(pkt.dst).to_vec();
-                for queue in members {
-                    let mut copy = pkt;
-                    copy.dst = queue as NodeId;
-                    if self.switch.try_enqueue(queue, copy, now).accepted() {
-                        self.kick_drain(queue, now);
-                    }
-                }
-            }
-            PacketKind::Data => {
-                let queue = pkt.dst as usize;
-                debug_assert!(queue < self.cfg.rack.num_servers);
-                if self.switch.try_enqueue(queue, pkt, now).accepted() {
-                    self.kick_drain(queue, now);
-                }
-                // Drops are silent at the switch; transport recovers.
-            }
-            PacketKind::Ack => unreachable!("ACKs do not traverse the ToR ingress path"),
-        }
-    }
-
-    fn kick_drain(&mut self, queue: usize, now: Ns) {
-        if !self.draining[queue] {
-            self.draining[queue] = true;
-            let at = self.tor_links[queue].idle_at().max(now);
-            self.q.schedule(at, Ev::TorDrain { queue });
-        }
-    }
-
-    fn handle_tor_drain(&mut self, queue: usize, now: Ns) {
-        match self.switch.dequeue(queue, now) {
-            Some(pkt) => {
-                let (departed, arrived) = self.tor_links[queue].transmit(now, pkt.size);
-                self.q.schedule(arrived, Ev::HostDeliver { pkt });
-                self.q.schedule(departed, Ev::TorDrain { queue });
-            }
-            None => {
-                self.draining[queue] = false;
-            }
         }
     }
 
@@ -1622,7 +1602,7 @@ impl RackSim {
         let flow = FlowId(u64::MAX - group as u64);
         let pkt = Packet::multicast(flow, 20_000 + group, group, size);
         let at = release + self.cfg.rack.fabric_delay;
-        self.q.schedule(at, Ev::TorArrive { pkt });
+        self.q.schedule(at, Ev::SwArrive { sw: RACK_TOR, pkt });
         if remaining > 1 {
             self.q.schedule(
                 release.max(now),
@@ -1676,8 +1656,6 @@ impl RackSim {
         match ev {
             Ev::Gen { idx } => self.handle_gen(idx, now),
             Ev::StartFlow { spec } => self.start_flow(&spec, now),
-            Ev::TorArrive { pkt } => self.handle_tor_arrive(pkt, now),
-            Ev::TorDrain { queue } => self.handle_tor_drain(queue, now),
             Ev::HostDeliver { pkt } => self.handle_host_deliver(pkt, now),
             Ev::SourceDeliver { pkt } => self.handle_source_deliver(pkt, now),
             Ev::SenderTimer { flow } => self.handle_sender_timer(flow.0, now),
@@ -1768,9 +1746,8 @@ impl RackSim {
 
         RackSimReport {
             rack_run,
-            switch_discard_bytes: self.total_switch_discards(),
+            switch_discard_bytes: self.switch_discards(),
             switch_ingress_bytes: self.total_switch_ingress(),
-            minute_bins: self.switch.minute_bins().to_vec(),
             flows_started: self.flows_started,
             conns_completed: self.conns_completed,
             events: self.q.events_processed(),
@@ -2267,7 +2244,7 @@ mod tests {
         );
         assert_eq!(sim.profile().total_wall_ns(), 0, "no clock injected");
         let stacks = sim.profile().collapsed_stacks();
-        assert!(stacks.contains("engine;switch;TorArrive "));
+        assert!(stacks.contains("engine;switch;SwArrive "));
         assert!(stacks.contains("engine;host;HostDeliver "));
     }
 

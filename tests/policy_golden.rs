@@ -27,7 +27,7 @@ use ms_dcsim::{Bps, Bytes, Ns};
 use ms_telemetry::TelemetryConfig;
 use ms_transport::CcAlgorithm;
 use ms_workload::sim::{FabricHopConfig, GroConfig};
-use ms_workload::{FatTreeOpts, FlowSpec, ScenarioBuilder, TopoFlowSpec, TopologySpec};
+use ms_workload::{FatTreeOpts, FlowSpec, RackSim, ScenarioBuilder, TopoFlowSpec, TopologySpec};
 
 /// FNV-1a, folded incrementally.
 fn fnv(h: &mut u64, bytes: &[u8]) {
@@ -69,7 +69,7 @@ fn dt_alpha_incast(seed: u64, alpha: f64, tune: bool) -> ScenarioBuilder {
 /// the analysis outcome bytes. With `plane_state`, the queue-depth probe
 /// samples and the per-tier discard split are folded in as well (the
 /// four DT-α cases were captured before those were hashed).
-fn run_fingerprint(scenario: &ScenarioBuilder, plane_state: bool) -> u64 {
+fn run_fingerprint(scenario: &ScenarioBuilder, plane_state: bool) -> (u64, RackSim) {
     let mut sim = scenario.build();
     let report = sim.run_sync_window(0);
 
@@ -139,7 +139,7 @@ fn run_fingerprint(scenario: &ScenarioBuilder, plane_state: bool) -> u64 {
             fnv(&mut h, &tier.to_le_bytes());
         }
     }
-    h
+    (h, sim)
 }
 
 /// `(seed, alpha, tune, fingerprint)` — captured pre-refactor.
@@ -154,7 +154,7 @@ const GOLDEN: &[(u64, f64, bool, u64)] = &[
 fn dt_alpha_reproduces_pre_refactor_traces_seed_for_seed() {
     let mut bad = Vec::new();
     for &(seed, alpha, tune, expected) in GOLDEN {
-        let got = run_fingerprint(&dt_alpha_incast(seed, alpha, tune), false);
+        let (got, _) = run_fingerprint(&dt_alpha_incast(seed, alpha, tune), false);
         println!("({seed}, {alpha:?}, {tune}, {got:#018x}),");
         if got != expected {
             bad.push(format!(
@@ -268,15 +268,32 @@ fn tree_cross_pod_incast() -> ScenarioBuilder {
     b
 }
 
-/// `(name, scenario, fingerprint)` — captured before the forwarding
-/// plane fold.
-fn plane_golden() -> [(&'static str, ScenarioBuilder, u64); 3] {
+/// A plane golden: its name, its scenario, a check that the run reached
+/// the path the golden pins, and the fingerprint captured before the
+/// forwarding plane fold.
+type PlaneGolden = (&'static str, ScenarioBuilder, fn(&RackSim) -> bool, u64);
+
+fn plane_golden() -> [PlaneGolden; 3] {
     [
-        ("trunk_incast", trunk_incast(), 0x541c_9f4b_b330_5ae8),
-        ("rack_side_paths", rack_side_paths(), 0x3494_4c5a_c05b_5ee3),
+        (
+            "trunk_incast",
+            trunk_incast(),
+            |sim| sim.fabric_drops() > 0 && sim.forensic_counts()[2] > 0,
+            0x541c_9f4b_b330_5ae8,
+        ),
+        (
+            "rack_side_paths",
+            rack_side_paths(),
+            |sim| !sim.depth_samples().is_empty() && sim.forensic_counts()[2] > 0,
+            0x3494_4c5a_c05b_5ee3,
+        ),
         (
             "tree_cross_pod_incast",
             tree_cross_pod_incast(),
+            |sim| {
+                let [_, agg, spine] = sim.tier_discard_bytes();
+                agg + spine > 0
+            },
             0x6144_d7d8_741c_b3ea,
         ),
     ]
@@ -285,9 +302,12 @@ fn plane_golden() -> [(&'static str, ScenarioBuilder, u64); 3] {
 #[test]
 fn forwarding_paths_reproduce_pre_fold_runs() {
     let mut bad = Vec::new();
-    for (name, scenario, expected) in plane_golden() {
-        let got = run_fingerprint(&scenario, true);
+    for (name, scenario, reached, expected) in plane_golden() {
+        let (got, sim) = run_fingerprint(&scenario, true);
         println!("{name}: {got:#018x}");
+        if !reached(&sim) {
+            bad.push(format!("{name}: the run never reached the path it pins"));
+        }
         if got != expected {
             bad.push(format!(
                 "{name}: fingerprint {got:#018x} != golden {expected:#018x}"
@@ -295,28 +315,4 @@ fn forwarding_paths_reproduce_pre_fold_runs() {
         }
     }
     assert!(bad.is_empty(), "{}", bad.join("\n"));
-}
-
-#[test]
-fn plane_goldens_exercise_their_paths() {
-    let mut sim = trunk_incast().build();
-    sim.run_sync_window(0);
-    assert!(sim.fabric_drops() > 0, "the trunk FIFO must overflow");
-    assert!(
-        sim.forensic_counts()[2] > 0,
-        "trunk drops are FabricTransient"
-    );
-
-    let mut sim = rack_side_paths().build();
-    sim.run_sync_window(0);
-    assert!(!sim.depth_samples().is_empty(), "the probe saw admissions");
-    assert!(
-        sim.forensic_counts()[2] > 0,
-        "NIC drops are FabricTransient"
-    );
-
-    let mut sim = tree_cross_pod_incast().build();
-    sim.run_sync_window(0);
-    let [_, agg, spine] = sim.tier_discard_bytes();
-    assert!(agg + spine > 0, "cross-pod incast drops above the ToR");
 }
