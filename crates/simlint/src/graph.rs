@@ -21,8 +21,9 @@
 //! uses the per-function **may-acquire** set (lock identities reachable
 //! through the call tree).
 
+use crate::diag::Diagnostic;
 use crate::parser::{Block, CallKind, CallSite, FnDef, Node};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The propagated facts. The first three drive the hot-path pass;
 /// `Float` (may reach floating-point math) drives the
@@ -387,54 +388,127 @@ impl CallGraph {
             .map_or(&[][..], |v| v.as_slice())
     }
 
-    /// Reconstructs a shortest call chain from `start` to a function
-    /// with a *local* occurrence of `fact`. Each step is rendered as
-    /// `` `Type::fn` (file:line) ``; the final element names the
-    /// offending construct. Deterministic: BFS in node-index order.
-    pub fn chain_to_fact(&self, start: usize, fact: Fact) -> Vec<String> {
-        let f = fact as usize;
-        let mut prev: BTreeMap<usize, (usize, u32)> = BTreeMap::new(); // node -> (pred, call line)
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(start);
-        let mut seen = BTreeSet::new();
-        seen.insert(start);
-        let mut leaf = None;
+    /// Breadth-first search over resolved call edges from `start`,
+    /// following only callees that pass `edge` and stopping at the
+    /// first dequeued node (`start` included) that satisfies `stop`.
+    /// Callees are queued in node-index order, so ties between equally
+    /// short paths resolve to the lowest index and every chain is
+    /// deterministic.
+    pub fn search(
+        &self,
+        start: usize,
+        edge: impl Fn(usize) -> bool,
+        stop: impl Fn(usize) -> bool,
+    ) -> Search {
+        let mut prev = BTreeMap::new();
+        let mut seen = BTreeSet::from([start]);
+        let mut queue = VecDeque::from([start]);
         while let Some(n) = queue.pop_front() {
-            if self.nodes[n].has_local(fact) {
-                leaf = Some(n);
-                break;
+            if stop(n) {
+                return Search {
+                    start,
+                    prev,
+                    hit: Some(n),
+                };
             }
-            let mut nexts: Vec<(usize, u32)> = self.nodes[n]
+            let mut nexts: Vec<usize> = self.nodes[n]
                 .calls
                 .iter()
-                .filter_map(|c| c.callee.map(|cal| (cal, c.site.line)))
-                .filter(|(cal, _)| self.nodes[*cal].trans[f])
+                .filter_map(|c| c.callee)
+                .filter(|&c| edge(c))
                 .collect();
             nexts.sort_unstable();
-            for (cal, line) in nexts {
-                if seen.insert(cal) {
-                    prev.insert(cal, (n, line));
-                    queue.push_back(cal);
+            for m in nexts {
+                if seen.insert(m) {
+                    prev.insert(m, n);
+                    queue.push_back(m);
                 }
             }
         }
-        let Some(leaf) = leaf else {
+        Search {
+            start,
+            prev,
+            hit: None,
+        }
+    }
+
+    /// One chain step: `` `Type::fn` (file:line) ``.
+    pub fn render_step(&self, n: usize) -> String {
+        let node = &self.nodes[n];
+        format!("`{}` ({}:{})", node.qualified(), node.file, node.def.line)
+    }
+
+    /// The search's call path to `to`, one rendered step per function.
+    pub fn render_path(&self, search: &Search, to: usize) -> Vec<String> {
+        search
+            .path_to(to)
+            .into_iter()
+            .map(|n| self.render_step(n))
+            .collect()
+    }
+
+    /// Findings for function `n` holding `fact`, phrased by `local`
+    /// (given the construct) and `via` (given the callee): one per local
+    /// construct, anchored where it sits so a line-targeted allow works,
+    /// then one per distinct call site whose callee transitively
+    /// carries the fact, anchored at the call, with the chain from `n`
+    /// down to the construct.
+    pub fn fact_findings(
+        &self,
+        n: usize,
+        fact: Fact,
+        hint: &str,
+        local: impl Fn(&str) -> String,
+        via: impl Fn(&str) -> String,
+    ) -> Vec<Diagnostic> {
+        let node = &self.nodes[n];
+        let mut out: Vec<Diagnostic> = node
+            .local
+            .iter()
+            .filter(|l| l.fact == fact)
+            .map(|l| Diagnostic::new(&node.file, l.line, l.col, fact.rule(), local(&l.what), hint))
+            .collect();
+        let mut seen_sites = BTreeSet::new();
+        for edge in &node.calls {
+            let Some(callee) = edge.callee.filter(|&c| self.nodes[c].trans[fact as usize]) else {
+                continue;
+            };
+            if !seen_sites.insert((edge.site.line, edge.site.col)) {
+                continue;
+            }
+            let mut chain = vec![self.render_step(n)];
+            chain.extend(self.chain_to_fact(callee, fact));
+            let message = via(&self.nodes[callee].qualified());
+            out.push(
+                Diagnostic::new(
+                    &node.file,
+                    edge.site.line,
+                    edge.site.col,
+                    fact.rule(),
+                    message,
+                    hint,
+                )
+                .with_chain(chain),
+            );
+        }
+        out
+    }
+
+    /// A shortest call chain from `start` to a function with a *local*
+    /// occurrence of `fact`, through callees that transitively carry
+    /// it; the final element names the offending construct. Empty when
+    /// no such function is reachable.
+    pub fn chain_to_fact(&self, start: usize, fact: Fact) -> Vec<String> {
+        let f = fact as usize;
+        let search = self.search(
+            start,
+            |c| self.nodes[c].trans[f],
+            |n| self.nodes[n].has_local(fact),
+        );
+        let Some(leaf) = search.hit else {
             return Vec::new();
         };
-        let mut path = vec![leaf];
-        let mut cur = leaf;
-        while let Some(&(p, _)) = prev.get(&cur) {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        let mut out: Vec<String> = path
-            .iter()
-            .map(|&n| {
-                let node = &self.nodes[n];
-                format!("`{}` ({}:{})", node.qualified(), node.file, node.def.line)
-            })
-            .collect();
+        let mut out = self.render_path(&search, leaf);
         let node = &self.nodes[leaf];
         if let Some(l) = node
             .local
@@ -445,6 +519,36 @@ impl CallGraph {
             out.push(format!("{} ({}:{}:{})", l.what, node.file, l.line, l.col));
         }
         out
+    }
+}
+
+/// A breadth-first search tree over call edges (see
+/// [`CallGraph::search`]).
+#[derive(Debug)]
+pub struct Search {
+    start: usize,
+    /// Node → the node it was first discovered from.
+    prev: BTreeMap<usize, usize>,
+    /// The node that satisfied the stop predicate, if any did.
+    pub hit: Option<usize>,
+}
+
+impl Search {
+    /// Whether the search discovered `n`.
+    pub fn reached(&self, n: usize) -> bool {
+        n == self.start || self.prev.contains_key(&n)
+    }
+
+    /// Node indices of the tree path `start -> … -> to`.
+    pub fn path_to(&self, to: usize) -> Vec<usize> {
+        let mut path = vec![to];
+        let mut cur = to;
+        while let Some(&p) = self.prev.get(&cur) {
+            path.push(p);
+            cur = p;
+        }
+        path.reverse();
+        path
     }
 }
 
@@ -489,6 +593,77 @@ mod tests {
         assert_eq!(chain.len(), 3, "{chain:?}");
         assert!(chain[0].contains("step_one"));
         assert!(chain[2].contains(".unwrap()"));
+    }
+
+    #[test]
+    fn search_returns_no_hit_for_an_unreachable_target() {
+        let g = graph(&[(
+            "a.rs",
+            "crates/a",
+            "fn a() { b(); } fn b() { a(); } fn island() {}",
+        )]);
+        let (a, island) = (g.find_qualified("a")[0], g.find_qualified("island")[0]);
+        let s = g.search(a, |_| true, |n| n == island);
+        assert_eq!(s.hit, None);
+        assert!(s.reached(g.find_qualified("b")[0]));
+        assert!(!s.reached(island));
+    }
+
+    #[test]
+    fn search_ties_resolve_in_node_index_order() {
+        // `top` calls `right` first in source order, but `left` has the
+        // lower node index, so the equally short path runs through it.
+        let g = graph(&[(
+            "a.rs",
+            "crates/a",
+            "fn top() { right(); left(); }\n\
+             fn left() { bottom(); }\n\
+             fn right() { bottom(); }\n\
+             fn bottom() {}",
+        )]);
+        let [top, bottom] = ["top", "bottom"].map(|q| g.find_qualified(q)[0]);
+        let s = g.search(top, |_| true, |n| n == bottom);
+        assert_eq!(s.hit, Some(bottom));
+        let names: Vec<String> = s
+            .path_to(bottom)
+            .iter()
+            .map(|&n| g.nodes[n].qualified())
+            .collect();
+        assert_eq!(names, ["top", "left", "bottom"]);
+        assert_eq!(
+            g.render_path(&s, bottom)[1],
+            "`left` (a.rs:2)",
+            "steps render as `fn` (file:line)"
+        );
+    }
+
+    #[test]
+    fn fact_chains_follow_only_callees_carrying_the_fact() {
+        // `calm` has the lower index, but only `loud` transitively
+        // panics: the `trans[fact]` edge filter keeps the search off
+        // `calm`'s subtree entirely.
+        let g = graph(&[(
+            "a.rs",
+            "crates/a",
+            "fn root() { calm(); loud(); }\n\
+             fn calm() { helper(); }\n\
+             fn loud() { helper2(); }\n\
+             fn helper() {}\n\
+             fn helper2() { x.unwrap(); }",
+        )]);
+        let root = g.find_qualified("root")[0];
+        let f = Fact::Panic as usize;
+        let s = g.search(
+            root,
+            |c| g.nodes[c].trans[f],
+            |n| g.nodes[n].has_local(Fact::Panic),
+        );
+        assert_eq!(s.hit, Some(g.find_qualified("helper2")[0]));
+        assert!(!s.reached(g.find_qualified("calm")[0]));
+        assert!(!s.reached(g.find_qualified("helper")[0]));
+        let chain = g.chain_to_fact(root, Fact::Panic);
+        assert_eq!(chain.len(), 4, "{chain:?}");
+        assert!(chain[1].contains("`loud`") && chain[3].contains(".unwrap()"));
     }
 
     #[test]

@@ -62,54 +62,18 @@ pub fn hotpath_pass(graph: &CallGraph, cfg: &Config) -> Vec<Diagnostic> {
             continue;
         }
         for &n in nodes {
-            let node = &graph.nodes[n];
             for fact in Fact::ALL {
                 if fact == Fact::Block && cfg.may_block.iter().any(|f| f == hot) {
                     continue;
                 }
-                // Constructs directly in the hot body, one finding
-                // each, anchored where they sit (so a line-targeted
-                // inline allow works exactly as in v1).
-                for l in node.local.iter().filter(|l| l.fact == fact) {
-                    out.push(Diagnostic::new(
-                        &node.file,
-                        l.line,
-                        l.col,
-                        fact.rule(),
-                        format!("{} {} in hot function `{hot}`", l.what, verb_phrase(fact)),
-                        hint(fact),
-                    ));
-                }
-                // Facts inherited through calls: one finding per direct
-                // call site whose callee may reach the fact, anchored
-                // at that call, with the reconstructed chain attached.
-                let mut seen_sites = std::collections::BTreeSet::new();
-                for edge in &node.calls {
-                    let Some(callee) = edge.callee else { continue };
-                    if !graph.nodes[callee].trans[fact as usize] {
-                        continue;
-                    }
-                    if !seen_sites.insert((edge.site.line, edge.site.col)) {
-                        continue;
-                    }
-                    let mut chain = vec![format!("`{hot}` ({}:{})", node.file, node.def.line)];
-                    chain.extend(graph.chain_to_fact(callee, fact));
-                    out.push(
-                        Diagnostic::new(
-                            &node.file,
-                            edge.site.line,
-                            edge.site.col,
-                            fact.rule(),
-                            format!(
-                                "hot function `{hot}` {} via `{}`",
-                                verb_phrase(fact),
-                                graph.nodes[callee].qualified()
-                            ),
-                            hint(fact),
-                        )
-                        .with_chain(chain),
-                    );
-                }
+                let verb = verb_phrase(fact);
+                out.extend(graph.fact_findings(
+                    n,
+                    fact,
+                    hint(fact),
+                    |what| format!("{what} {verb} in hot function `{hot}`"),
+                    |callee| format!("hot function `{hot}` {verb} via `{callee}`"),
+                ));
             }
         }
     }

@@ -40,10 +40,13 @@
 //!
 //! The analyzer stays dependency-free: a hand-rolled [`lexer`] feeds a
 //! hand-rolled recursive-descent [`parser`], whose function bodies form
-//! a workspace-wide call [`graph`]. Keeping `syn` out keeps the
-//! workspace building offline.
+//! a workspace-wide call [`graph`] with one breadth-first search behind
+//! every reported call chain. The value-level passes share one token
+//! [`body`] walker. Keeping `syn` out keeps the workspace building
+//! offline.
 
 pub mod baseline;
+pub mod body;
 pub mod channels;
 pub mod config;
 pub mod diag;
@@ -165,8 +168,9 @@ pub fn analyze(root: &Path, cfg: &Config) -> Result<Analysis, String> {
                 crate_dir.clone(),
                 parser::parse_file(&lexed.toks).fns,
             ));
-            // The dataflow passes re-walk raw tokens (operators and
-            // literals are not in the statement tree), so keep them.
+            // The shared body walker and the float-evidence scan read
+            // raw tokens (operators and literals are not in the
+            // statement tree), so keep them.
             tokens.insert(rel, lexed.toks);
             stats.files_scanned += 1;
         }

@@ -26,13 +26,14 @@
 //!
 //! Field accesses are found token-wise (`self . <field>` inside methods
 //! of the state type); reachability is BFS over the call graph from
-//! each root. Both are conservative in the usual simlint direction:
-//! unknown receivers resolve to nothing, so a finding is always backed
-//! by a concrete chain.
+//! each root ([`CallGraph::search`]). Both are conservative in the
+//! usual simlint direction: unknown receivers resolve to nothing, so a
+//! finding is always backed by a concrete chain.
 
+use crate::body::{matching, punct_at};
 use crate::config::Config;
 use crate::diag::Diagnostic;
-use crate::graph::CallGraph;
+use crate::graph::{CallGraph, Search};
 use crate::lexer::{Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,118 +58,62 @@ struct Field {
     col: u32,
 }
 
-/// Parses the fields of `struct <state> { … }` out of a token stream.
+/// Parses the fields of the first `struct <state> { … }` in a token
+/// stream: each `name: Type` entry at the body's top level, the type
+/// running to the next top-level comma.
 fn parse_fields(toks: &[Tok], state: &str, file: &str, out: &mut Vec<Field>) {
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if !(toks[i].is_ident("struct") && toks[i + 1].is_ident(state)) {
-            i += 1;
+    let Some(s) =
+        (1..toks.len()).find(|&i| toks[i - 1].is_ident("struct") && toks[i].is_ident(state))
+    else {
+        return;
+    };
+    // A `;` before the body brace is a tuple or unit struct — nothing to
+    // partition.
+    let Some(open) = (s..toks.len()).find(|&k| toks[k].is_punct('{') || toks[k].is_punct(';'))
+    else {
+        return;
+    };
+    let Some(close) = matching(toks, open) else {
+        return;
+    };
+    let mut depth = 0i64;
+    let mut field: Option<Field> = None;
+    for k in open + 1..close {
+        let t = &toks[k];
+        if depth == 0 && t.is_punct(',') {
+            out.extend(field.take());
             continue;
         }
-        // Skip generics etc. up to the body brace; `;` means a tuple or
-        // unit struct — nothing to partition.
-        let mut j = i + 2;
-        while j < toks.len() && !toks[j].is_punct('{') {
-            if toks[j].is_punct(';') {
-                return;
-            }
-            j += 1;
-        }
-        let mut depth = 0i64;
-        let mut k = j;
-        // Walk `name: Type,` entries at depth 1.
-        while k < toks.len() {
-            let t = &toks[k];
-            if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-                depth += 1;
-            } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-                depth -= 1;
-                if depth == 0 {
-                    return;
-                }
-            } else if t.is_punct('>') && !(k > 0 && toks[k - 1].is_punct('-')) {
-                depth -= 1;
-            } else if depth == 1
-                && t.kind == TokKind::Ident
-                && toks.get(k + 1).is_some_and(|n| n.is_punct(':'))
-                && !toks.get(k + 2).is_some_and(|n| n.is_punct(':'))
-                && !t.is_ident("pub")
-            {
-                // Collect the type tokens until the field-separating
-                // comma (or the closing brace) at depth 1.
-                let mut ty = Vec::new();
-                let mut d2 = 0i64;
-                let mut m = k + 2;
-                while m < toks.len() {
-                    let u = &toks[m];
-                    if u.is_punct('{') || u.is_punct('(') || u.is_punct('[') || u.is_punct('<') {
-                        d2 += 1;
-                    } else if u.is_punct('}') || u.is_punct(')') || u.is_punct(']') {
-                        d2 -= 1;
-                        if d2 < 0 {
-                            break;
-                        }
-                    } else if u.is_punct('>') && !(m > 0 && toks[m - 1].is_punct('-')) {
-                        d2 -= 1;
-                    } else if u.is_punct(',') && d2 == 0 {
-                        break;
-                    }
-                    ty.push(u.text.clone());
-                    m += 1;
-                }
-                out.push(Field {
-                    name: t.text.clone(),
-                    ty,
+        if let Some(f) = field.as_mut() {
+            f.ty.push(t.text.clone());
+        } else if depth == 0 && t.is_punct(':') && !punct_at(toks, k + 1, ':') {
+            let name = &toks[k - 1];
+            if name.kind == TokKind::Ident && !name.is_ident("pub") {
+                field = Some(Field {
+                    name: name.text.clone(),
+                    ty: Vec::new(),
                     file: file.to_string(),
-                    line: t.line,
-                    col: t.col,
+                    line: name.line,
+                    col: name.col,
                 });
-                k = m;
-                continue;
-            }
-            k += 1;
-        }
-        return;
-    }
-}
-
-/// Nodes reachable from `start` (inclusive), with BFS predecessors for
-/// chain reconstruction.
-fn reach(graph: &CallGraph, start: usize) -> (BTreeSet<usize>, BTreeMap<usize, usize>) {
-    let mut seen = BTreeSet::from([start]);
-    let mut prev = BTreeMap::new();
-    let mut queue = std::collections::VecDeque::from([start]);
-    while let Some(n) = queue.pop_front() {
-        let mut nexts: Vec<usize> = graph.nodes[n]
-            .calls
-            .iter()
-            .filter_map(|c| c.callee)
-            .collect();
-        nexts.sort_unstable();
-        for m in nexts {
-            if seen.insert(m) {
-                prev.insert(m, n);
-                queue.push_back(m);
             }
         }
+        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
+            depth += 1;
+        } else if t.is_punct('}')
+            || t.is_punct(')')
+            || t.is_punct(']')
+            || (t.is_punct('>') && !punct_at(toks, k - 1, '-'))
+        {
+            depth -= 1;
+        }
     }
-    (seen, prev)
+    out.extend(field);
 }
 
-fn chain_from(graph: &CallGraph, prev: &BTreeMap<usize, usize>, to: usize) -> Vec<String> {
-    let mut path = vec![to];
-    let mut cur = to;
-    while let Some(&p) = prev.get(&cur) {
-        path.push(p);
-        cur = p;
-    }
-    path.reverse();
-    path.iter()
-        .map(|&n| {
-            let node = &graph.nodes[n];
-            format!("`{}` ({}:{})", node.qualified(), node.file, node.def.line)
-        })
-        .collect()
+/// The first of a root's searches that discovered node `a`.
+fn reached_by(searches: &[Search], a: usize) -> Option<&Search> {
+    searches.iter().find(|s| s.reached(a))
 }
 
 /// Runs the partition audit. Returns diagnostics, counters, and — when
@@ -268,8 +213,9 @@ pub fn lp_pass(
         }
     }
 
-    // Roots and their reachable sets.
-    let mut roots: Vec<(String, BTreeSet<usize>, BTreeMap<usize, usize>)> = Vec::new();
+    // Roots and their reachable sets: one search per node of the root
+    // (several same-named nodes — trait impls — form one root).
+    let mut roots: Vec<(String, Vec<Search>)> = Vec::new();
     for root in &cfg.lp_roots {
         let nodes = graph.find_qualified(root);
         if nodes.is_empty() {
@@ -283,17 +229,11 @@ pub fn lp_pass(
             ));
             continue;
         }
-        // Merge multiple same-named nodes (trait impls) into one root.
-        let mut seen = BTreeSet::new();
-        let mut prev = BTreeMap::new();
-        for &n in nodes {
-            let (s, p) = reach(graph, n);
-            seen.extend(s);
-            for (k, v) in p {
-                prev.entry(k).or_insert(v);
-            }
-        }
-        roots.push((root.clone(), seen, prev));
+        let searches = nodes
+            .iter()
+            .map(|&n| graph.search(n, |_| true, |_| false))
+            .collect();
+        roots.push((root.clone(), searches));
     }
 
     // Escape checks + report rows, in struct order.
@@ -316,9 +256,9 @@ pub fn lp_pass(
             "unmapped"
         };
         let accs = accessors.get(f.name.as_str()).cloned().unwrap_or_default();
-        let reaching: Vec<&(String, BTreeSet<usize>, BTreeMap<usize, usize>)> = roots
+        let reaching: Vec<&(String, Vec<Search>)> = roots
             .iter()
-            .filter(|(_, seen, _)| accs.iter().any(|a| seen.contains(a)))
+            .filter(|(_, searches)| accs.iter().any(|&a| reached_by(searches, a).is_some()))
             .collect();
         if per {
             if let Some(handle) = f.ty.iter().find(|t| SHARED_HANDLES.contains(&t.as_str())) {
@@ -339,11 +279,13 @@ pub fn lp_pass(
             }
             if reaching.len() > 1 {
                 let mut chain = Vec::new();
-                for (root, seen, prev) in reaching.iter().take(2) {
-                    let a = accs.iter().find(|a| seen.contains(a)).copied();
-                    if let Some(a) = a {
+                for (root, searches) in reaching.iter().take(2) {
+                    let hit = accs
+                        .iter()
+                        .find_map(|&a| reached_by(searches, a).map(|s| (s, a)));
+                    if let Some((search, a)) = hit {
                         chain.push(format!("reached from LP root `{root}`:"));
-                        chain.extend(chain_from(graph, prev, a));
+                        chain.extend(graph.render_path(search, a));
                     }
                 }
                 out.push(
@@ -359,7 +301,7 @@ pub fn lp_pass(
                             reaching.len(),
                             reaching
                                 .iter()
-                                .map(|(r, _, _)| format!("`{r}`"))
+                                .map(|(r, _)| format!("`{r}`"))
                                 .collect::<Vec<_>>()
                                 .join(", ")
                         ),

@@ -9,6 +9,13 @@
 //! gracefully, and constructs it does not model (patterns, operators,
 //! types) are skipped rather than rejected.
 //!
+//! The tree is what the call graph and the lock pass consume. The
+//! value-level passes (units, monotonicity, channel creation) need the
+//! operators and literals the tree drops, so they walk each body's raw
+//! tokens through the one shared [`crate::body::Walker`] instead; the
+//! parser and that walker recognize `let` bindings and match brackets
+//! with the same [`crate::body`] helpers.
+//!
 //! What the tree preserves, because the passes need it:
 //!
 //! * every function definition with its impl/trait self type, parameter
@@ -24,6 +31,7 @@
 //! * `#[cfg(test)]` / `#[test]` containment, so test-only code can be
 //!   classified.
 
+use crate::body::{ident_at, let_at, matching, punct_at, skip_angles};
 use crate::lexer::{Tok, TokKind};
 
 /// One parsed source file: every function found, in source order,
@@ -59,9 +67,10 @@ pub struct FnDef {
     pub in_cfg_test: bool,
     pub body: Block,
     /// Token-index span `[start, end)` of the body within the file's
-    /// token stream, `(0, 0)` for bodyless signatures. The token-level
-    /// dataflow passes (units, float) re-walk this range — the
-    /// statement tree drops operators and literals.
+    /// token stream, `(0, 0)` for bodyless signatures. The statement
+    /// tree drops operators and literals, so the shared
+    /// [`crate::body::Walker`] (units, monotonicity, channel creation)
+    /// and the float-evidence scan read this range instead.
     pub body_range: (usize, usize),
 }
 
@@ -85,7 +94,9 @@ pub struct Block {
 /// a control keyword, and its interesting nodes in evaluation order.
 #[derive(Debug, Default)]
 pub struct Stmt {
-    /// `Some(name)` for `let name = …;` / `let mut name = …;`.
+    /// `Some(name)` for a `let` that binds exactly one name
+    /// (`let [mut] name [: Ty] = …;`), as [`crate::body::let_at`]
+    /// recognizes it; tuple and pattern lets bind no trackable guard.
     pub let_name: Option<String>,
     /// Starts with `if`/`match`/`while`/`for`/`loop`/`unsafe` — such a
     /// statement may end at a closing brace without a semicolon.
@@ -151,49 +162,6 @@ struct Parser<'t> {
     out: ParsedFile,
 }
 
-fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
-    toks.get(i)
-        .filter(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text.as_str())
-}
-
-fn punct_at(toks: &[Tok], i: usize, c: char) -> bool {
-    toks.get(i).is_some_and(|t| t.is_punct(c))
-}
-
-/// Index of the token closing the bracket opened at `open`.
-fn matching(toks: &[Tok], open: usize, op: char, cl: char) -> Option<usize> {
-    let mut depth = 0i64;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct(op) {
-            depth += 1;
-        } else if t.is_punct(cl) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
-/// Skips a balanced `<…>` starting at `open`, returning the index after
-/// it. `->` arrows do not count as closing angles.
-fn skip_angles(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0i64;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct('<') {
-            depth += 1;
-        } else if t.is_punct('>') && !(k > 0 && toks[k - 1].is_punct('-')) {
-            depth -= 1;
-            if depth == 0 {
-                return k + 1;
-            }
-        }
-    }
-    toks.len()
-}
-
 const CONTROL_KEYWORDS: [&str; 6] = ["if", "match", "while", "for", "loop", "unsafe"];
 
 /// Keywords that can never start or continue a call chain.
@@ -210,7 +178,7 @@ impl Parser<'_> {
         while i < end {
             let t = &self.toks[i];
             if t.is_punct('#') && punct_at(self.toks, i + 1, '[') {
-                let close = matching(self.toks, i + 1, '[', ']').unwrap_or(end);
+                let close = matching(self.toks, i + 1).unwrap_or(end);
                 for k in i + 2..close.min(end) {
                     if self.toks[k].kind == TokKind::Ident {
                         attr.push_str(&self.toks[k].text);
@@ -228,7 +196,7 @@ impl Parser<'_> {
             match t.text.as_str() {
                 "impl" => {
                     let (ty, open) = self.impl_self_ty(i, end);
-                    match open.and_then(|o| matching(self.toks, o, '{', '}')) {
+                    match open.and_then(|o| matching(self.toks, o)) {
                         Some(close) => {
                             let o = open.unwrap_or(i);
                             self.items(o + 1, close, Some(&ty), in_test || attr_test);
@@ -240,7 +208,7 @@ impl Parser<'_> {
                 "trait" => {
                     let name = ident_at(self.toks, i + 1).unwrap_or("").to_string();
                     match self.find_body_open(i + 1, end) {
-                        Some(open) => match matching(self.toks, open, '{', '}') {
+                        Some(open) => match matching(self.toks, open) {
                             Some(close) => {
                                 self.items(open + 1, close, Some(&name), in_test || attr_test);
                                 i = close + 1;
@@ -252,7 +220,7 @@ impl Parser<'_> {
                 }
                 "mod" => match self.find_body_open(i + 1, end) {
                     Some(open) if !self.semicolon_before(i + 1, open) => {
-                        match matching(self.toks, open, '{', '}') {
+                        match matching(self.toks, open) {
                             Some(close) => {
                                 self.items(open + 1, close, self_ty, in_test || attr_test);
                                 i = close + 1;
@@ -266,23 +234,10 @@ impl Parser<'_> {
                 "struct" | "enum" | "union" => {
                     // Skip to the end of the item: `{…}` body, `(..);`
                     // tuple struct, or a bare `;`.
-                    let mut j = i + 1;
-                    while j < end {
-                        if punct_at(self.toks, j, '{') {
-                            j = matching(self.toks, j, '{', '}').map_or(end, |c| c + 1);
-                            break;
-                        }
-                        if punct_at(self.toks, j, ';') {
-                            j += 1;
-                            break;
-                        }
-                        if punct_at(self.toks, j, '<') {
-                            j = skip_angles(self.toks, j);
-                            continue;
-                        }
-                        j += 1;
-                    }
-                    i = j;
+                    i = match self.find_body_open(i + 1, end) {
+                        Some(open) => matching(self.toks, open).map_or(end, |c| c + 1),
+                        None => self.skip_to_semicolon(i + 1, end),
+                    };
                 }
                 "macro_rules" => {
                     // `macro_rules! name { … }`
@@ -290,7 +245,7 @@ impl Parser<'_> {
                     while j < end && !punct_at(self.toks, j, '{') {
                         j += 1;
                     }
-                    i = matching(self.toks, j, '{', '}').map_or(end, |c| c + 1);
+                    i = matching(self.toks, j).map_or(end, |c| c + 1);
                 }
                 _ => {
                     i += 1;
@@ -390,7 +345,7 @@ impl Parser<'_> {
         let mut params = Vec::new();
         let mut param_types = Vec::new();
         if punct_at(self.toks, j, '(') {
-            let close = matching(self.toks, j, '(', ')').unwrap_or(end);
+            let close = matching(self.toks, j).unwrap_or(end);
             for (name, ty) in self.param_list(j + 1, close.min(end)) {
                 params.push(name);
                 param_types.push(ty);
@@ -420,7 +375,7 @@ impl Parser<'_> {
             j += 1;
         }
         let (body, body_range, next) = if punct_at(self.toks, j, '{') {
-            let close = matching(self.toks, j, '{', '}').unwrap_or(end);
+            let close = matching(self.toks, j).unwrap_or(end);
             (
                 self.block(j + 1, close.min(end), in_test),
                 (j + 1, close.min(end)),
@@ -447,61 +402,42 @@ impl Parser<'_> {
     /// `(name, type idents)` pairs from the token range of a parameter
     /// list. Segments without a nameable pattern contribute nothing.
     fn param_list(&self, from: usize, end: usize) -> Vec<(String, String)> {
+        // Per top-level segment: the last ident before its top-level `:`
+        // (the whole segment for `self` receivers), binding keywords
+        // excluded, names the parameter; the idents after it are its type.
         let mut pairs = Vec::new();
         let mut depth = 0i64;
-        let mut seg_start = from;
-        let mut j = from;
-        loop {
-            let at_end = j >= end;
-            let is_comma = !at_end && depth == 0 && punct_at(self.toks, j, ',');
-            if at_end || is_comma {
-                // Idents before the top-level `:` (or the whole segment
-                // for `self` receivers), excluding binding keywords; the
-                // idents after it are the parameter's type.
-                let mut last = None;
-                let mut ty = String::new();
-                let mut past_colon = false;
-                let mut d = 0i64;
-                for k in seg_start..j {
-                    let t = &self.toks[k];
-                    if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
-                        d += 1;
-                    } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('>') {
-                        d -= 1;
-                    } else if d == 0 && t.is_punct(':') && !past_colon {
-                        past_colon = true;
-                    } else if t.kind == TokKind::Ident {
-                        if past_colon {
-                            if !matches!(t.text.as_str(), "mut" | "dyn" | "impl") {
-                                if !ty.is_empty() {
-                                    ty.push(' ');
-                                }
-                                ty.push_str(&t.text);
-                            }
-                        } else if d == 0 && !matches!(t.text.as_str(), "mut" | "ref" | "dyn") {
-                            last = Some(t.text.clone());
-                        }
-                    }
+        let mut name = None;
+        let mut ty: Vec<&str> = Vec::new();
+        let mut past_colon = false;
+        for j in from..=end {
+            let at_comma = depth == 0 && punct_at(self.toks, j, ',');
+            let Some(t) = self.toks.get(j).filter(|_| j < end && !at_comma) else {
+                if let Some(n) = name.take() {
+                    pairs.push((n, ty.join(" ")));
                 }
-                if let Some(n) = last {
-                    pairs.push((n, ty));
-                }
-                if at_end {
-                    break;
-                }
-                seg_start = j + 1;
-            } else if punct_at(self.toks, j, '(')
-                || punct_at(self.toks, j, '[')
-                || punct_at(self.toks, j, '<')
-            {
+                ty.clear();
+                past_colon = false;
+                continue;
+            };
+            if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
                 depth += 1;
-            } else if punct_at(self.toks, j, ')')
-                || punct_at(self.toks, j, ']')
-                || (punct_at(self.toks, j, '>') && !punct_at(self.toks, j - 1, '-'))
+            } else if t.is_punct(')')
+                || t.is_punct(']')
+                || (t.is_punct('>') && !punct_at(self.toks, j - 1, '-'))
             {
                 depth -= 1;
+            } else if depth == 0 && t.is_punct(':') && !past_colon {
+                past_colon = true;
+            } else if t.kind == TokKind::Ident {
+                if past_colon {
+                    if !matches!(t.text.as_str(), "mut" | "dyn" | "impl") {
+                        ty.push(&t.text);
+                    }
+                } else if depth == 0 && !matches!(t.text.as_str(), "mut" | "ref" | "dyn") {
+                    name = Some(t.text.clone());
+                }
             }
-            j += 1;
         }
         pairs
     }
@@ -516,7 +452,7 @@ impl Parser<'_> {
                 continue;
             }
             if t.is_punct('#') && punct_at(self.toks, i + 1, '[') {
-                i = matching(self.toks, i + 1, '[', ']').map_or(end, |c| c + 1);
+                i = matching(self.toks, i + 1).map_or(end, |c| c + 1);
                 continue;
             }
             // Nested items inside bodies are lifted into the file's
@@ -544,16 +480,9 @@ impl Parser<'_> {
                 stmt.control = true;
             }
             if first == "let" {
-                let mut k = i + 1;
-                if ident_at(self.toks, k) == Some("mut") {
-                    k += 1;
-                }
-                // Only a plain identifier pattern names a binding the
-                // lock pass can track (`let (a, b) = …` contributes
-                // nothing).
-                if let Some(name) = ident_at(self.toks, k) {
-                    stmt.let_name = Some(name.to_string());
-                }
+                stmt.let_name = let_at(self.toks, i, end)
+                    .single()
+                    .map(|n| self.toks[n].text.clone());
                 i += 1;
             }
         }
@@ -564,7 +493,7 @@ impl Parser<'_> {
                 return (stmt, i + 1);
             }
             if t.is_punct('{') {
-                let close = matching(self.toks, i, '{', '}').unwrap_or(end);
+                let close = matching(self.toks, i).unwrap_or(end);
                 let inner = self.block(i + 1, close.min(end), in_test);
                 stmt.nodes.push(Node::Block(inner));
                 chain.reset();
@@ -621,12 +550,7 @@ impl Parser<'_> {
                         line: t.line,
                         col: t.col,
                     }));
-                    let (op, cl) = match () {
-                        () if punct_at(self.toks, i + 2, '(') => ('(', ')'),
-                        () if punct_at(self.toks, i + 2, '[') => ('[', ']'),
-                        () => ('{', '}'),
-                    };
-                    let close = matching(self.toks, i + 2, op, cl).unwrap_or(end);
+                    let close = matching(self.toks, i + 2).unwrap_or(end);
                     self.group(i + 3, close.min(end), nodes);
                     chain.reset();
                     return close + 1;
@@ -659,7 +583,7 @@ impl Parser<'_> {
                         i + 2
                     }
                     '(' => {
-                        let close = matching(self.toks, i, '(', ')').unwrap_or(end);
+                        let close = matching(self.toks, i).unwrap_or(end);
                         if chain.callable() {
                             let (site_line, site_col) = chain.site();
                             let kind = chain.call_kind();
@@ -680,7 +604,7 @@ impl Parser<'_> {
                         close + 1
                     }
                     '[' => {
-                        let close = matching(self.toks, i, '[', ']').unwrap_or(end);
+                        let close = matching(self.toks, i).unwrap_or(end);
                         self.group(i + 1, close.min(end), nodes);
                         if chain.callable() {
                             chain.index_last();
@@ -727,7 +651,7 @@ impl Parser<'_> {
                 continue;
             }
             if t.is_punct('{') {
-                let close = matching(self.toks, i, '{', '}').unwrap_or(end);
+                let close = matching(self.toks, i).unwrap_or(end);
                 let inner = self.block(i + 1, close.min(end), false);
                 nodes.push(Node::Block(inner));
                 chain.reset();

@@ -18,6 +18,7 @@
 //! *raw* — suppression (inline and file-level) is applied centrally by
 //! [`crate::suppress`], which is what lets stale allows be audited.
 
+use crate::body::{ident_at, matching, punct_at};
 use crate::diag::Diagnostic;
 use crate::lexer::{Tok, TokKind};
 
@@ -47,16 +48,6 @@ pub fn check_tokens(rel: &str, toks: &[Tok], class: FileClass) -> Vec<Diagnostic
         cast_pass(rel, toks, &skip, &mut emit);
     }
     diags
-}
-
-fn ident_at(toks: &[Tok], i: usize) -> Option<&str> {
-    toks.get(i)
-        .filter(|t| t.kind == TokKind::Ident)
-        .map(|t| t.text.as_str())
-}
-
-fn punct_at(toks: &[Tok], i: usize, c: char) -> bool {
-    toks.get(i).is_some_and(|t| t.is_punct(c))
 }
 
 /// `toks[i] :: toks[i+3]` — whether a `::` separates token `i` from the
@@ -192,14 +183,14 @@ fn test_mod_ranges(toks: &[Tok]) -> Vec<(usize, usize)> {
         let mut j = i + 7;
         // Skip any further attributes between the cfg and the item.
         while punct_at(toks, j, '#') && punct_at(toks, j + 1, '[') {
-            j = match matching(toks, j + 1, '[', ']') {
+            j = match matching(toks, j + 1) {
                 Some(end) => end + 1,
                 None => return out,
             };
         }
         if ident_at(toks, j) == Some("mod") {
             if let Some(open) = (j..toks.len()).find(|&k| punct_at(toks, k, '{')) {
-                if let Some(close) = matching(toks, open, '{', '}') {
+                if let Some(close) = matching(toks, open) {
                     out.push((open, close + 1));
                     i = close + 1;
                     continue;
@@ -209,22 +200,6 @@ fn test_mod_ranges(toks: &[Tok]) -> Vec<(usize, usize)> {
         i = j;
     }
     out
-}
-
-/// Index of the token closing the bracket opened at `open`.
-fn matching(toks: &[Tok], open: usize, op: char, cl: char) -> Option<usize> {
-    let mut depth = 0i64;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct(op) {
-            depth += 1;
-        } else if t.is_punct(cl) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
