@@ -46,6 +46,9 @@ fi
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> release build"
+cargo build --workspace --release
+
 echo "==> perfbench smoke (every declared benchmark metric still emitted)"
 # perfbench is its own workspace, so `cargo test --workspace` skips it.
 # Its smoke test runs each workload at tiny size and fails if a metric
