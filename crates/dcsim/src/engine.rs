@@ -14,10 +14,16 @@
 //!    mis-rounded timer cannot time-travel).
 //!
 //! The queue is generic over the event payload so each layer of the stack
-//! can define its own event enum; timer *cancellation* is handled by the
-//! layers themselves using generation counters (a cancelled timer is simply
-//! ignored when popped), which is both simpler and faster than tombstoning
-//! inside the heap.
+//! can define its own event enum. Timers whose deadline keeps moving are
+//! kept in the layers as *reserved-ticket slots*: the layer takes a FIFO
+//! ticket with [`EventQueue::reserve_seq`] whenever the deadline changes,
+//! keeps at most one event in the heap, and (re-)queues it with
+//! [`EventQueue::schedule_reserved`] at `(deadline, ticket)` — the exact
+//! slot a fresh `schedule` at the moment of the change would have taken.
+//! A moved-later deadline pushes nothing (the queued event re-queues
+//! itself when it pops early); a superseded event is ignored when it
+//! pops. That is simpler and faster than tombstoning inside the heap, and
+//! it never dispatches a dead timer twice.
 
 use crate::time::Ns;
 use std::cmp::Reverse;
@@ -125,19 +131,37 @@ impl<E> EventQueue<E> {
     /// Scheduling before `now` is a logic error (panics in debug builds); in
     /// release builds the event is clamped to `now` so the simulation can
     /// only ever lose sub-nanosecond precision, never causality.
+    #[inline]
     pub fn schedule(&mut self, at: Ns, event: E) {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(at, seq, event);
+    }
+
+    /// Takes the next FIFO ticket without queueing anything. An event
+    /// later queued with it by [`EventQueue::schedule_reserved`] pops as if
+    /// it had been scheduled at the moment of the reservation: ahead of
+    /// every same-instant event scheduled after it.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `event` at absolute time `at` under a ticket taken from
+    /// [`EventQueue::reserve_seq`]. A ticket may be queued again after its
+    /// event popped (a timer slot re-queues itself), but two events must
+    /// never be pending under one ticket. Same `now` rules as
+    /// [`EventQueue::schedule`].
+    pub fn schedule_reserved(&mut self, at: Ns, seq: u64, event: E) {
         debug_assert!(
             at >= self.now,
             "scheduled event at {at} before now {}",
             self.now
         );
+        debug_assert!(seq < self.next_seq, "ticket {seq} was never reserved");
         let at = at.max(self.now);
-        let key = Key {
-            at,
-            seq: self.next_seq,
-        };
-        self.next_seq += 1;
-        self.heap.push(Reverse((key, EventSlot(event))));
+        self.heap.push(Reverse((Key { at, seq }, EventSlot(event))));
         self.depth_high_water = self.depth_high_water.max(self.heap.len());
     }
 
@@ -170,6 +194,14 @@ impl<E> EventQueue<E> {
     /// The timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Ns> {
         self.heap.peek().map(|Reverse((key, _))| key.at)
+    }
+
+    /// Every pending event with its time, in no particular order (for
+    /// introspection; pop order is `(time, FIFO seq)`).
+    pub fn pending(&self) -> impl Iterator<Item = (Ns, &E)> {
+        self.heap
+            .iter()
+            .map(|Reverse((key, EventSlot(e)))| (key.at, e))
     }
 }
 
@@ -236,6 +268,32 @@ mod tests {
         q.schedule(Ns(100), ());
         q.pop();
         q.schedule(Ns(50), ());
+    }
+
+    #[test]
+    fn reserved_ticket_pops_ahead_of_later_same_instant_pushes() {
+        let mut q = EventQueue::new();
+        q.schedule(Ns(10), "before");
+        let ticket = q.reserve_seq();
+        q.schedule(Ns(10), "after");
+        q.schedule(Ns(5), "earlier");
+        q.schedule_reserved(Ns(10), ticket, "reserved");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["earlier", "before", "reserved", "after"]);
+    }
+
+    #[test]
+    fn a_ticket_can_be_queued_again_after_its_event_popped() {
+        let mut q = EventQueue::new();
+        let ticket = q.reserve_seq();
+        q.schedule_reserved(Ns(10), ticket, "early pop");
+        q.schedule(Ns(20), "plain");
+        assert_eq!(q.pop(), Some((Ns(10), "early pop")));
+        // The slot re-queues itself at its real deadline: it keeps the
+        // place it reserved before "plain" was scheduled.
+        q.schedule_reserved(Ns(20), ticket, "deadline");
+        assert_eq!(q.pop(), Some((Ns(20), "deadline")));
+        assert_eq!(q.pop(), Some((Ns(20), "plain")));
     }
 
     #[test]

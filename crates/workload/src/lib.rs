@@ -31,6 +31,7 @@ pub mod scenario;
 pub mod sim;
 pub mod spec;
 pub mod tasks;
+mod timer;
 pub mod tools;
 
 pub use diurnal::Diurnal;
