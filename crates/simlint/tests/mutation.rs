@@ -37,15 +37,31 @@ impl<E> EventQueue<E> {
 }
 ";
 
-#[test]
-fn planted_now_minus_delta_in_the_real_event_queue_is_caught() {
+/// The same bug planted into the timer slots' entry point: a push at a
+/// reserved FIFO ticket whose time is `now - delta`, written inline.
+const RESERVED_REGRESSION: &str = "
+impl<E> EventQueue<E> {
+    pub fn regress_reserved(&mut self, delta: Ns, event: E) {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(Ns(self.now.0 - delta.0), seq, event);
+    }
+}
+";
+
+/// Lints the real engine before and after appending `planted` (a single
+/// `impl` block whose sink call is its fourth line), and asserts that
+/// exactly the planted call in `func` is flagged, anchored at the sink.
+fn assert_planted_regression_caught(name: &str, planted: &str, func: &str) {
     let cfg = Config {
         crates: vec![".".to_string()],
-        monotonic_sinks: vec!["EventQueue::schedule".to_string()],
+        monotonic_sinks: vec![
+            "EventQueue::schedule".to_string(),
+            "EventQueue::schedule_reserved".to_string(),
+        ],
         ..Config::default()
     };
 
-    let pristine = scratch_tree("mut_mono_pristine", &[("engine.rs", &engine_src())]);
+    let pristine = scratch_tree(&format!("{name}_pristine"), &[("engine.rs", &engine_src())]);
     let before: Vec<Diagnostic> = lint(&pristine, &cfg)
         .into_iter()
         .filter(|d| d.rule == "non-monotonic-schedule")
@@ -55,21 +71,21 @@ fn planted_now_minus_delta_in_the_real_event_queue_is_caught() {
         "the unmutated engine must be monotonicity-clean: {before:?}"
     );
 
-    let mutated_src = format!("{}{REGRESSION}", engine_src());
-    let mutated = scratch_tree("mut_mono_planted", &[("engine.rs", &mutated_src)]);
+    let mutated_src = format!("{}{planted}", engine_src());
+    let mutated = scratch_tree(&format!("{name}_planted"), &[("engine.rs", &mutated_src)]);
     let after: Vec<Diagnostic> = lint(&mutated, &cfg)
         .into_iter()
         .filter(|d| d.rule == "non-monotonic-schedule")
         .collect();
     assert_eq!(after.len(), 1, "exactly the planted regression: {after:?}");
     assert!(
-        after[0].message.contains("`EventQueue::regress`")
+        after[0].message.contains(&format!("`EventQueue::{func}`"))
             && after[0].message.contains("subtraction"),
         "{}",
         after[0].message
     );
-    // Anchored at the planted `self.schedule(...)` sink, five lines
-    // past the pristine file's end (blank, impl, fn, let, call).
+    // Anchored at the planted `self.<sink>(...)` call, five lines past
+    // the pristine file's end (blank, impl, fn, let, call).
     let planted_line = engine_src().lines().count() as u32 + 5;
     assert_eq!(
         (after[0].line, after[0].col),
@@ -77,6 +93,16 @@ fn planted_now_minus_delta_in_the_real_event_queue_is_caught() {
         "{:?}",
         after[0]
     );
+}
+
+#[test]
+fn planted_now_minus_delta_in_the_real_event_queue_is_caught() {
+    assert_planted_regression_caught("mut_mono", REGRESSION, "regress");
+}
+
+#[test]
+fn planted_now_minus_delta_at_a_reserved_ticket_is_caught() {
+    assert_planted_regression_caught("mut_mono_reserved", RESERVED_REGRESSION, "regress_reserved");
 }
 
 fn lp_source(table_ty: &str, second_root_touches: &str) -> String {
