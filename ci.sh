@@ -89,6 +89,11 @@ grep -q '"bench": "profile"' BENCH_profile.json
 grep -q '"detached_hook_overhead_pct"' BENCH_profile.json
 grep -q '"telemetry_overhead_pct"' BENCH_profile.json
 test -s BENCH_profile.json.folded
+# Dispatch counts by event kind are a pure function of the seed: they
+# must equal the pinned ones. A change that moves them says why in
+# CHANGES.md and re-pins results/incast_loss_dispatch.json.
+printf '{%s}\n' "$(grep -o '"dispatch":{[^}]*}' BENCH_profile.json)" \
+    | diff results/incast_loss_dispatch.json -
 
 echo "==> fleet sweep smoke (parallel vs serial byte-identity + bench artifact)"
 # --bench re-runs the grid serially, asserts the aggregate CSV/JSON are
